@@ -14,10 +14,7 @@ from .defenses import (AdeState, DefenseMode, PdeConfig, ade_schedule,
                        forecast_leakage, pack_pde, pde_packing_steps,
                        weighted_performance)
 from .eavesdropper import (EveEstimator, InconsistentTimingError, SegmentModel,
-                           SmoothedBelief, TimingTrace, backward_pass,
-                           belief_at_offset, belief_at_time, eve_accuracy,
-                           forward_update, leakage, min_leakage,
-                           smoothed_at_transmission)
+                           SmoothedBelief, TimingTrace, min_leakage)
 from .markov import (ControlPlan, MarkovModel, NumericalError, Scenario,
                      build_model, control_reward_vector, delta_belief,
                      g_factor, propagate_belief, shannon_entropy, steady_state,
@@ -26,8 +23,8 @@ from .policy import (JointPolicy, PlannerConfig, SchedulingFunction,
                      best_control_for_sigma, evaluate_policy,
                      evaluate_policy_values, extract_sigma,
                      occupancy_distribution, policy_entropy, policy_from_json,
-                     policy_to_json, single_state_deviation, solve_goc,
-                     solve_periodic)
+                     policy_to_json, segment_beliefs, segment_stats,
+                     single_state_deviation, solve_goc, solve_periodic)
 from .simulate import (BatchMetrics, CellSolution, EpisodeConfig,
                        EpisodeMetrics, EpisodeRecord, PolicyKind, aggregate,
                        pareto_filter, pareto_sweep, run_batch, run_episode,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import hashlib
 import io
 import json
@@ -200,7 +201,7 @@ def cmd_solve(cfg: dict, out_dir: Path, seed: int, workers: int) -> int:
 def _simulate_cell_task(payload):
     base, theta, beta, d_gaps, kind_names, n_episodes = payload
     kinds = [PolicyKind(k) for k in kind_names]
-    local = simulate._cell_config(base, theta=float(theta), beta=float(beta))
+    local = dataclasses.replace(base, theta=float(theta), beta=float(beta))
     return simulate.sweep(local, [theta], [beta], d_gaps, kinds, n_episodes)
 
 
@@ -223,7 +224,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed: int, workers: int) -> int:
         out_dir / "aggregate.json", json.dumps(rows, sort_keys=True, indent=2))
     if cfg["simulation"]["trace"]:
         for kind in map(PolicyKind, kind_names):
-            ep = simulate._cell_config(base, policy_kind=kind)
+            ep = dataclasses.replace(base, policy_kind=kind)
             record, _ = simulate.run_episode(ep)
             buf = io.StringIO()
             record.write_csv(buf)

@@ -22,11 +22,11 @@ from enum import Enum
 
 import numpy as np
 
+from . import policy
 from .eavesdropper import EveEstimator, SegmentModel
 from .markov import MarkovModel
-from .policy import (JointPolicy, PlannerConfig, SchedulingFunction,
-                     _matrix_powers, _policy_iteration, _plans_from,
-                     policy_entropy, single_state_deviation)
+from .policy import (PlannerConfig, SchedulingFunction, policy_entropy,
+                     single_state_deviation)
 
 
 class DefenseMode(Enum):
@@ -123,42 +123,47 @@ def ade_schedule(s: int, ade: AdeState, sigma: SchedulingFunction,
 # ---------------------------------------------------------------------------
 
 
-class _EstimationScorer:
+class _PackingScorer:
+    """Scores a single-state deviation by swapping that state's row of the
+    incumbent evaluation system (I - K) v = c and solving it again."""
+
+    def _select(self, c_tab: np.ndarray, k_tab: np.ndarray,
+                intervals: np.ndarray) -> None:
+        idx = np.arange(len(intervals))
+        self._c, self._k = c_tab[idx, intervals], k_tab[idx, intervals]
+
+    def _swap_and_solve(self, s_idx: int, c_row: float, k_row: np.ndarray) -> float:
+        c = self._c.copy()
+        k = self._k.copy()
+        c[s_idx] = c_row
+        k[s_idx] = k_row
+        v0 = np.linalg.solve(np.eye(len(c)) - k, c)
+        return float(v0.mean())
+
+
+class _EstimationScorer(_PackingScorer):
     """Exact candidate evaluation for guess tasks.
 
-    Per-state segment rewards and renewal kernels are precomputed for
-    every stopping time, so scoring a single-state deviation is one
-    row swap plus a linear solve.
+    MAP-guess segment rewards and renewal kernels are tabulated once for
+    every stopping time, so scoring a single-state deviation is one row
+    swap plus a linear solve.
     """
 
     def __init__(self, model: MarkovModel, cfg: PlannerConfig,
                  intervals: np.ndarray):
-        self.n = model.num_states
-        self.cfg = cfg
-        powers = _matrix_powers(model.transitions[0], cfg.t_max)
-        gam = cfg.gamma ** np.arange(cfg.t_max + 1)
-        maps = np.stack([p.max(axis=1) for p in powers])        # (t+1, S)
-        cum = np.cumsum(
-            np.vstack([np.zeros(self.n), gam[:-1, None] * maps[:-1]]), axis=0)
-        self.c_of_tau = cum - gam[:, None] * cfg.beta           # (t+1, S)
-        self.krows = np.stack([gam[t] * powers[t] for t in range(cfg.t_max + 1)])
+        pre = policy.segment_beliefs(model, None, cfg.t_max)
+        self.c_tab, self.k_tab = policy.segment_stats(model, cfg, pre, None)
         self.refresh(intervals)
 
     def refresh(self, intervals: np.ndarray) -> None:
-        idx = np.arange(self.n)
-        self._c = self.c_of_tau[intervals, idx]
-        self._k = self.krows[intervals, idx, :]
+        self._select(self.c_tab, self.k_tab, intervals)
 
     def score_deviation(self, s_idx: int, tau: int) -> float:
-        c = self._c.copy()
-        k = self._k.copy()
-        c[s_idx] = self.c_of_tau[tau, s_idx]
-        k[s_idx] = self.krows[tau, s_idx]
-        v0 = np.linalg.solve(np.eye(self.n) - k, c)
-        return float(v0.mean())
+        return self._swap_and_solve(s_idx, self.c_tab[s_idx, tau],
+                                    self.k_tab[s_idx, tau])
 
 
-class _ControlScorer:
+class _ControlScorer(_PackingScorer):
     """Candidate evaluation with the control plan adapted to the schedule.
 
     Scanning hundreds of candidates per packing step makes a full control
@@ -171,56 +176,31 @@ class _ControlScorer:
     """
 
     def __init__(self, model: MarkovModel, cfg: PlannerConfig,
-                 intervals: np.ndarray, policy: JointPolicy):
+                 intervals: np.ndarray):
         self.model = model
         self.cfg = cfg
-        self.gam = cfg.gamma ** np.arange(cfg.t_max + 1)
-        sigma = SchedulingFunction(intervals=intervals, t_max=cfg.t_max)
-        self.plans = _plans_from(sigma, policy, model)
-        self._rebuild()
-
-    def _rebuild(self):
-        from .policy import _segment_stats
-        self._c, self._k = _segment_stats(self.model, self.cfg, self.plans, None)
-        self.v0 = np.linalg.solve(np.eye(self.model.num_states) - self._k, self._c)
-
-    def _adapt(self, s: int, tau: int):
-        old_tau, actions = self.plans[s]
-        if tau <= old_tau:
-            return tau, actions[:tau]
-        actions = list(actions)
-        stop_vec = -self.cfg.beta + self.v0
-        belief = np.zeros(self.model.num_states)
-        belief[s] = 1.0
-        for a in actions:
-            belief = belief @ self.model.transitions[a]
-        for _ in range(old_tau, tau):
-            scores = [float((belief @ m) @ stop_vec) for m in self.model.transitions]
-            a = int(np.argmax(scores))
-            actions.append(a)
-            belief = belief @ self.model.transitions[a]
-        return tau, tuple(actions)
-
-    def score_deviation(self, s_idx: int, tau: int) -> float:
-        plan = self._adapt(s_idx, tau)
-        r = self.model.task_reward
-        belief = np.zeros(self.model.num_states)
-        belief[s_idx] = 1.0
-        total = 0.0
-        for t in range(tau):
-            total += self.gam[t] * float(belief @ r)
-            belief = belief @ self.model.transitions[plan[1][t]]
-        c = self._c.copy()
-        k = self._k.copy()
-        c[s_idx] = total - self.gam[tau] * self.cfg.beta
-        k[s_idx] = self.gam[tau] * belief
-        v0 = np.linalg.solve(np.eye(self.model.num_states) - k, c)
-        return float(v0.mean())
+        self.refresh(intervals)
 
     def refresh(self, intervals: np.ndarray) -> None:
-        allowed = [(int(t),) for t in intervals]
-        self.plans, _, _ = _policy_iteration(self.model, self.cfg, allowed)
-        self._rebuild()
+        sigma = SchedulingFunction(intervals=intervals, t_max=self.cfg.t_max)
+        self.taus = sigma.intervals
+        self.control = policy.best_control_for_sigma(self.model, sigma, self.cfg).control
+        self.pre = policy.segment_beliefs(self.model, self.control, self.cfg.t_max)
+        self._select(*policy.segment_stats(self.model, self.cfg, self.pre, self.control),
+                     self.taus)
+        self.v0 = np.linalg.solve(np.eye(len(self.taus)) - self._k, self._c)
+
+    def score_deviation(self, s_idx: int, tau: int) -> float:
+        actions = self.control[s_idx].copy()
+        beliefs = self.pre[s_idx].copy()
+        stop_vec = -self.cfg.beta + self.v0
+        for t in range(self.taus[s_idx], tau):
+            scores = [float((beliefs[t] @ m) @ stop_vec) for m in self.model.transitions]
+            actions[t] = int(np.argmax(scores))
+            beliefs[t + 1] = beliefs[t] @ self.model.transitions[actions[t]]
+        c, k = policy.segment_stats(self.model, self.cfg, beliefs[None, :tau + 1],
+                                    actions[None, :tau])
+        return self._swap_and_solve(s_idx, c[0, tau], k[0, tau])
 
 
 def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
@@ -234,12 +214,8 @@ def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
     Returns [(schedule, entropy)] starting with the input schedule.
     """
     n = model.num_states
-    if model.num_actions == 1:
-        scorer = _EstimationScorer(model, planner, sigma0.intervals)
-    else:
-        from .policy import best_control_for_sigma
-        policy = best_control_for_sigma(model, sigma0, planner)
-        scorer = _ControlScorer(model, planner, sigma0.intervals, policy)
+    scorer_cls = _EstimationScorer if model.num_actions == 1 else _ControlScorer
+    scorer = scorer_cls(model, planner, sigma0.intervals)
     current = sigma0
     h = policy_entropy(current, n)
     steps = [(current, h)]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import MarkovModel, shannon_entropy, steady_state
-from .policy import JointPolicy, SchedulingFunction
+from .policy import JointPolicy, SchedulingFunction, segment_beliefs
 
 
 class InconsistentTimingError(ValueError):
@@ -78,11 +78,12 @@ class SegmentModel:
 
     Holds, per renewal state, the interval the regime assigns and the
     step kernels needed for smoothing: prefix rows (the belief about the
-    state ``l`` steps into a segment opened at a known state) and suffix
-    matrices (the transition operator from ``l`` steps in to the end of
-    the segment).  Estimation dynamics share a single matrix, so kernels
-    collapse to matrix powers; control dynamics are per-state products of
-    the plan's action matrices.
+    state ``l`` steps into a segment opened at a known state, from
+    ``policy.segment_beliefs``) and suffix matrices (the transition
+    operator from ``l`` steps in to the end of the segment).  Estimation
+    dynamics share a single matrix, so prefix blocks are matrix powers and
+    serve as suffixes too; control suffixes are per-state products of the
+    plan's action matrices.
     """
 
     def __init__(self, model: MarkovModel, taus: np.ndarray,
@@ -94,30 +95,18 @@ class SegmentModel:
         if self.taus.shape != (n,) or np.any(self.taus < 1) or np.any(self.taus > t_max):
             raise ValueError("schedule must assign each state an interval in 1..t_max")
         self.homogeneous = model.num_actions == 1
-        if self.homogeneous:
-            powers = [np.eye(n)]
-            for _ in range(t_max):
-                powers.append(powers[-1] @ model.transitions[0])
-            self._powers = powers
-        else:
-            if control is None:
-                raise ValueError("control models need a control table")
-            pre = np.empty((n, t_max + 1, n))
+        if not self.homogeneous and control is None:
+            raise ValueError("control models need a control table")
+        self._pre = segment_beliefs(model, control, t_max)
+        if not self.homogeneous:
             suf = np.zeros((n, t_max + 1, n, n))
             for s in range(n):
-                steps = [model.transitions[int(control[s, t])] for t in range(t_max)]
-                row = np.zeros(n)
-                row[s] = 1.0
-                pre[s, 0] = row
-                for t in range(t_max):
-                    pre[s, t + 1] = pre[s, t] @ steps[t]
                 tau = int(self.taus[s])
                 acc = np.eye(n)
                 suf[s, tau] = acc
                 for t in range(tau - 1, -1, -1):
-                    acc = steps[t] @ acc
+                    acc = model.transitions[int(control[s, t])] @ acc
                     suf[s, t] = acc
-            self._pre = pre
             self._suf = suf
 
     @classmethod
@@ -139,14 +128,12 @@ class SegmentModel:
 
     def prefix_rows(self, ell: int) -> np.ndarray:
         """(S, S) matrix whose row s is the belief ``ell`` steps after s."""
-        if self.homogeneous:
-            return self._powers[ell]
-        return self._pre[:, ell, :]
+        return self._pre[:, ell]
 
     def suffix(self, source: int, ell: int) -> np.ndarray:
         """Transition operator from ``ell`` steps in, to the segment end."""
         if self.homogeneous:
-            return self._powers[int(self.taus[source]) - ell]
+            return self._pre[:, int(self.taus[source]) - ell]
         return self._suf[source, ell]
 
     def interior_raw(self, weights: np.ndarray, ell: int, tau: int,
@@ -154,7 +141,7 @@ class SegmentModel:
         """Unnormalized interior posterior: sources weighted, pushed ``ell``
         steps in, tied to the segment end through the backward vector."""
         if self.homogeneous:
-            return (weights @ self._powers[ell]) * (self._powers[tau - ell] @ b_next)
+            return (weights @ self._pre[:, ell]) * (self._pre[:, tau - ell] @ b_next)
         ahead = self._suf[:, ell] @ b_next            # (source, mid)
         return (weights[:, None] * self._pre[:, ell, :] * ahead).sum(axis=0)
 
@@ -330,39 +317,6 @@ class EveEstimator:
         """1 if the delayed point estimate of s(n) is exact, else 0."""
         bel = self.belief_at_time(n + gap, gap).belief
         return int(int(np.argmax(bel)) + 1 == true_state)
-
-
-# ---------------------------------------------------------------------------
-# operation-style wrappers
-# ---------------------------------------------------------------------------
-
-
-def forward_update(est: EveEstimator, tau_k: int) -> EveEstimator:
-    return est.observe(tau_k)
-
-
-def backward_pass(est: EveEstimator, horizon_n: int) -> list[np.ndarray]:
-    return est.backward(horizon_n)
-
-
-def smoothed_at_transmission(est: EveEstimator, k: int, horizon_n: int) -> np.ndarray:
-    return est.smoothed_at_transmission(k, horizon_n)
-
-
-def belief_at_offset(est: EveEstimator, k: int, ell: int, horizon_n: int) -> np.ndarray:
-    return est.belief_at_offset(k, ell, horizon_n)
-
-
-def belief_at_time(est: EveEstimator, n: int, d: int) -> SmoothedBelief:
-    return est.belief_at_time(n, d)
-
-
-def leakage(est: EveEstimator, n: int, D: int) -> float:
-    return est.leakage(n, D)
-
-
-def eve_accuracy(est: EveEstimator, n: int, D: int, true_state: int) -> int:
-    return est.accuracy(n, D, true_state)
 
 
 def min_leakage(model: MarkovModel, plan=None,

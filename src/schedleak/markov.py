@@ -218,15 +218,28 @@ def steady_state(model: MarkovModel, plan: ControlPlan | None = None,
             raise ValueError("control models need a plan")
         first = plan.actions[:, 0]
         m = model.transitions[first, np.arange(model.num_states), :]
-    mu = uniform_belief(model.num_states)
+    return power_iteration(m, tol, max_iter, "steady state")
+
+
+def power_iteration(matrix: np.ndarray, tol: float, max_iter: int,
+                    what: str) -> np.ndarray:
+    """Stationary distribution of a row-stochastic matrix by power iteration.
+
+    Iterates from the uniform distribution until one step moves less than
+    ``tol`` in L1; ``what`` names the chain in the error raised otherwise.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    mu = uniform_belief(matrix.shape[0])
     for _ in range(max_iter):
-        nxt = mu @ m
-        if np.abs(nxt - mu).sum() < tol:
+        nxt = mu @ matrix
+        change = np.abs(nxt - mu).sum()
+        if change < tol:
             return nxt / nxt.sum()
         mu = nxt
     raise NumericalError(
-        f"steady state did not converge within {max_iter} iterations "
-        f"(last L1 change {np.abs(nxt - mu).sum():.3e})")
+        f"{what} did not converge within {max_iter} iterations "
+        f"(last L1 change {change:.3e})")
 
 
 def shannon_entropy(belief: np.ndarray) -> float:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import (MarkovModel, NumericalError, delta_belief,
-                     shannon_entropy, uniform_belief)
+                     power_iteration, shannon_entropy)
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,16 @@ class JointPolicy:
         object.__setattr__(self, "transmit", tr)
         object.__setattr__(self, "control", ct)
 
+    @classmethod
+    def from_intervals(cls, intervals: np.ndarray, control: np.ndarray,
+                       t_max: int) -> "JointPolicy":
+        """Policy that transmits from elapsed time ``intervals[s]`` on."""
+        transmit = (np.arange(t_max + 1)[None, :]
+                    >= np.asarray(intervals)[:, None]).astype(np.int64)
+        transmit[:, 0] = 0
+        transmit[:, t_max] = 1
+        return cls(transmit=transmit, control=control, t_max=t_max)
+
 
 def extract_sigma(policy: JointPolicy) -> SchedulingFunction:
     """Smallest elapsed time >= 1 at which the policy transmits."""
@@ -121,71 +131,66 @@ def single_state_deviation(sigma: SchedulingFunction, s_star: int,
 
 
 # ---------------------------------------------------------------------------
-# internal plan machinery
+# segment beliefs and plan machinery
 #
-# A plan for renewal state s is (tau, actions) with len(actions) == tau for
-# control models; estimation models carry actions = () and guess by MAP.
+# A plan set is the pair (intervals, control table) that a JointPolicy
+# holds: per renewal state a stopping time tau and a row of the control
+# table.  Control rows hold action indices, zero from tau on; estimation
+# rows hold 1-indexed state guesses.  Permitted stopping times are an
+# (S, t_max+1) boolean mask.
 # ---------------------------------------------------------------------------
 
 
-def _matrix_powers(matrix: np.ndarray, t_max: int) -> list[np.ndarray]:
-    powers = [np.eye(matrix.shape[0])]
-    for _ in range(t_max):
-        powers.append(powers[-1] @ matrix)
-    return powers
+def segment_beliefs(model: MarkovModel, control: np.ndarray | None,
+                    t_max: int) -> np.ndarray:
+    """Table ``pre[s, t]``: the belief ``t`` steps after a renewal at s.
 
-
-def _segment_stats(model: MarkovModel, cfg: PlannerConfig, plans,
-                   powers: list[np.ndarray] | None):
-    """Per-state discounted segment reward c and renewal kernel K."""
+    Shape (S, t_max+1, S) for t = 0..t_max.  Control models apply action
+    ``control[s, t]`` at elapsed time t; estimation models ignore the
+    table (it may be None), so ``pre[:, t]`` is the t-th matrix power.
+    """
     n = model.num_states
-    gam = cfg.gamma ** np.arange(cfg.t_max + 1)
-    c = np.zeros(n)
-    k = np.zeros((n, n))
-    if model.num_actions == 1:
-        maps = np.stack([p.max(axis=1) for p in powers])  # (t_max+1, S)
-        for s in range(n):
-            tau = plans[s][0]
-            c[s] = (gam[:tau] * maps[:tau, s]).sum() - gam[tau] * cfg.beta
-            k[s] = gam[tau] * powers[tau][s]
+    pre = np.empty((n, t_max + 1, n))
+    pre[:, 0] = np.eye(n)
+    for t in range(t_max):
+        if model.num_actions == 1:
+            pre[:, t + 1] = pre[:, t] @ model.transitions[0]
+        else:
+            pre[:, t + 1] = (pre[:, t, None, :] @ model.transitions[control[:, t]])[:, 0]
+    return pre
+
+
+def segment_stats(model: MarkovModel, cfg: PlannerConfig, pre: np.ndarray,
+                  control: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Segment reward ``c[s, tau]`` and renewal rows ``K[s, tau]``, all tau.
+
+    ``c = sum_{t<tau} gamma^t R[s, t] - gamma^tau beta`` and
+    ``K = gamma^tau pre[s, tau]``, where R is the task reward of the belief
+    for control models and the probability of the guessed state for
+    estimation models; a guess table of None means MAP guesses, whose
+    reward is the largest belief entry.  ``pre`` has shape (rows, T+1, S)
+    and ``control`` (rows, T), for any number of rows and any width T.
+    """
+    gam = cfg.gamma ** np.arange(pre.shape[1])
+    if model.num_actions == 1 and control is None:
+        r = pre[:, :-1].max(axis=2)
+    elif model.num_actions == 1:
+        r = np.take_along_axis(pre[:, :-1], control[:, :, None] - 1, axis=2)[:, :, 0]
     else:
-        r = model.task_reward
-        for s in range(n):
-            tau, actions = plans[s]
-            belief = delta_belief(s + 1, n)
-            total = 0.0
-            for t in range(tau):
-                total += gam[t] * float(belief @ r)
-                belief = belief @ model.transitions[actions[t]]
-            c[s] = total - gam[tau] * cfg.beta
-            k[s] = gam[tau] * belief
-    return c, k
+        r = pre[:, :-1] @ model.task_reward
+    c = np.zeros(pre.shape[:2])
+    c[:, 1:] = np.cumsum(gam[:-1] * r, axis=1)
+    return c - gam * cfg.beta, gam[:, None] * pre
 
 
-def _evaluate_plans(model, cfg, plans, powers=None) -> np.ndarray:
-    c, k = _segment_stats(model, cfg, plans, powers)
-    return np.linalg.solve(np.eye(model.num_states) - k, c)
+def _plan_stats(model, cfg, control):
+    return segment_stats(model, cfg, segment_beliefs(model, control, cfg.t_max), control)
 
 
-def _improve_estimation(model, cfg, v0, powers, allowed):
-    """Best stopping time per state given values; vectorized over states."""
-    n = model.num_states
-    gam = cfg.gamma ** np.arange(cfg.t_max + 1)
-    maps = np.stack([p.max(axis=1) for p in powers])       # (t_max+1, S)
-    stop = np.stack([gam[t] * (-cfg.beta + powers[t] @ v0)
-                     for t in range(cfg.t_max + 1)])       # (t_max+1, S)
-    cum = np.zeros((cfg.t_max + 1, n))
-    for t in range(1, cfg.t_max + 1):
-        cum[t] = cum[t - 1] + gam[t - 1] * maps[t - 1]
-    best_val = np.full(n, -np.inf)
-    best_tau = np.ones(n, dtype=np.int64)
-    for s in range(n):
-        for tau in allowed[s]:
-            val = cum[tau, s] + stop[tau, s]
-            if val > best_val[s]:
-                best_val[s] = val
-                best_tau[s] = tau
-    return [(int(best_tau[s]), ()) for s in range(n)], best_val
+def _values(c, k, taus) -> np.ndarray:
+    """Renewal values of a plan set: solve (I - K) v = c on its rows."""
+    idx = np.arange(len(taus))
+    return np.linalg.solve(np.eye(len(taus)) - k[idx, taus], c[idx, taus])
 
 
 def _improve_control(model, cfg, v0, allowed, width: int | None = None):
@@ -206,14 +211,15 @@ def _improve_control(model, cfg, v0, allowed, width: int | None = None):
     stop_vec = -cfg.beta + v0
     # beliefs are row vectors: children of row z are [z @ M_a for each a]
     stacked = np.concatenate(list(model.transitions), axis=1)
-    plans, best_vals = [], np.empty(n)
+    taus = np.ones(n, dtype=np.int64)
+    control = np.zeros((n, cfg.t_max), dtype=np.int64)
+    best_vals = np.empty(n)
     for s in range(n):
-        depth_cap = max(allowed[s])
-        allowed_set = set(allowed[s])
+        depth_cap = int(np.flatnonzero(allowed[s])[-1])
         beliefs = delta_belief(s + 1, n)[None, :]
         acc = np.zeros(1)
         paths = np.zeros((1, 0), dtype=np.int8)
-        best_val, best_plan = -np.inf, (1, (0,))
+        best_val = -np.inf
         for t in range(1, depth_cap + 1):
             step = cfg.gamma ** (t - 1) * (beliefs @ r)
             acc = np.repeat(acc + step, na)
@@ -224,89 +230,70 @@ def _improve_control(model, cfg, v0, allowed, width: int | None = None):
                  np.tile(np.arange(na, dtype=np.int8), len(step))[:, None]],
                 axis=1)
             vals = acc + cfg.gamma ** t * (beliefs @ stop_vec)
-            if t in allowed_set:
+            if allowed[s, t]:
                 i = int(np.argmax(vals))
                 if vals[i] > best_val:
                     best_val = float(vals[i])
-                    best_plan = (t, tuple(int(a) for a in paths[i]))
+                    taus[s] = t
+                    control[s, :t] = paths[i]
             if width is not None and len(vals) > width and t < depth_cap:
                 keep = np.argsort(-vals, kind="stable")[:width]
                 keep.sort()
                 beliefs, acc, paths = beliefs[keep], acc[keep], paths[keep]
-        plans.append(best_plan)
         best_vals[s] = best_val
-    return plans, best_vals
+    return taus, control, best_vals
 
 
 _BEAM_WIDTH = 64
 
 
-def _policy_iteration(model, cfg, allowed, init_plans=None):
+def _policy_iteration(model, cfg, allowed, init_control=None):
     """Exact policy iteration over per-renewal-state plans.
 
+    Plans start at each state's smallest permitted stopping time, with
+    ``init_control`` (control models) or all-zero actions.  Estimation
+    models guess by MAP, ties to the smaller state; their c and K tables
+    never change, so improvement is a masked argmax over stopping times.
     Control models iterate with beam-limited improvement first, then an
     exhaustive sweep; only an exhaustive sweep that finds no strict
     improvement terminates, so the fixed point is optimal over the full
-    plan space regardless of the beam.
+    plan space regardless of the beam.  Returns (taus, control, values).
     """
     n = model.num_states
-    powers = _matrix_powers(model.transitions[0], cfg.t_max) \
-        if model.num_actions == 1 else None
     eps = min(1e-11, cfg.value_tolerance)
-    if init_plans is not None:
-        plans = list(init_plans)
-    elif model.num_actions == 1:
-        plans = [(min(allowed[s]), ()) for s in range(n)]
+    taus = np.argmax(allowed, axis=1)
+    if model.num_actions == 1:
+        pre = segment_beliefs(model, None, cfg.t_max)
+        control = np.argmax(pre[:, :cfg.t_max], axis=2) + 1
+    elif init_control is not None:
+        control = init_control
     else:
-        plans = [(min(allowed[s]), (0,) * min(allowed[s])) for s in range(n)]
-    v0 = _evaluate_plans(model, cfg, plans, powers)
+        control = np.zeros((n, cfg.t_max), dtype=np.int64)
+    c, k = _plan_stats(model, cfg, control)
+    v0 = _values(c, k, taus)
     width = _BEAM_WIDTH
     for _ in range(cfg.max_sweeps):
         if model.num_actions == 1:
-            cand, vals = _improve_estimation(model, cfg, v0, powers, allowed)
+            vals = np.where(allowed, c + k @ v0, -np.inf)
+            cand_taus, cand_control = np.argmax(vals, axis=1), control
+            best = vals[np.arange(n), cand_taus]
             exhaustive = True
         else:
-            cand, vals = _improve_control(model, cfg, v0, allowed, width=width)
+            cand_taus, cand_control, best = _improve_control(
+                model, cfg, v0, allowed, width=width)
             exhaustive = width is None
-        accept = vals > v0 + eps
+        accept = best > v0 + eps
         if not accept.any():
             if exhaustive:
-                return plans, v0, powers
+                return taus, control, v0
             width = None          # beam converged; verify exhaustively
             continue
         width = _BEAM_WIDTH       # progress: resume cheap sweeps
-        plans = [cand[s] if accept[s] else plans[s] for s in range(n)]
-        v0 = _evaluate_plans(model, cfg, plans, powers)
+        taus = np.where(accept, cand_taus, taus)
+        control = np.where(accept[:, None], cand_control, control)
+        c, k = _plan_stats(model, cfg, control)
+        v0 = _values(c, k, taus)
     raise NumericalError(f"policy iteration exceeded {cfg.max_sweeps} sweeps")
-
-
-def _map_guesses(powers, t_max: int) -> np.ndarray:
-    """(S, t_max) table of 1-indexed MAP guesses, ties to the smaller state."""
-    return np.stack([np.argmax(powers[t], axis=1) + 1
-                     for t in range(t_max)], axis=1)
-
-
-def _plans_to_policy(model, cfg, plans, powers) -> JointPolicy:
-    n = model.num_states
-    taus = np.array([p[0] for p in plans])
-    transmit = (np.arange(cfg.t_max + 1)[None, :] >= taus[:, None]).astype(np.int64)
-    transmit[:, 0] = 0
-    transmit[:, cfg.t_max] = 1
-    if model.num_actions == 1:
-        control = _map_guesses(powers, cfg.t_max)
-    else:
-        control = np.zeros((n, cfg.t_max), dtype=np.int64)
-        for s in range(n):
-            tau, actions = plans[s]
-            control[s, :tau] = actions
-    return JointPolicy(transmit=transmit, control=control, t_max=cfg.t_max)
-
-
-def _plans_from(sigma: SchedulingFunction, policy: JointPolicy, model):
-    if model.num_actions == 1:
-        return [(int(t), ()) for t in sigma.intervals]
-    return [(int(t), tuple(int(a) for a in policy.control[s, :t]))
-            for s, t in enumerate(sigma.intervals)]
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +303,9 @@ def _plans_from(sigma: SchedulingFunction, policy: JointPolicy, model):
 
 def solve_goc(model: MarkovModel, config: PlannerConfig) -> JointPolicy:
     """Jointly optimal goal-oriented transmit/control policy."""
-    allowed = [range(1, config.t_max + 1)] * model.num_states
-    plans, _, powers = _policy_iteration(model, config, allowed)
-    return _plans_to_policy(model, config, plans, powers)
+    allowed = np.tile(np.arange(config.t_max + 1) > 0, (model.num_states, 1))
+    taus, control, _ = _policy_iteration(model, config, allowed)
+    return JointPolicy.from_intervals(taus, control, config.t_max)
 
 
 def solve_periodic(model: MarkovModel,
@@ -331,24 +318,25 @@ def solve_periodic(model: MarkovModel,
     best = None
     init = None
     for period in range(1, config.t_max + 1):
-        allowed = [(period,)] * model.num_states
-        plans, v0, powers = _policy_iteration(model, config, allowed, init)
+        allowed = np.tile(np.arange(config.t_max + 1) == period, (model.num_states, 1))
+        taus, control, v0 = _policy_iteration(model, config, allowed, init)
         value = float(v0.mean())
         if best is None or value > best[0] + 1e-11 * max(1.0, abs(best[0])):
-            best = (value, period, plans, powers)
-        # warm-start the next period with one extra repeat of the last action
-        init = [(period + 1, actions + actions[-1:]) if actions else (period + 1, ())
-                for _, actions in plans]
-    _, period, plans, powers = best
-    return period, _plans_to_policy(model, config, plans, powers)
+            best = (value, period, taus, control)
+        if period < config.t_max:
+            # warm-start the next period with one extra repeat of the last action
+            init = control.copy()
+            init[:, period] = control[:, period - 1]
+    _, period, taus, control = best
+    return period, JointPolicy.from_intervals(taus, control, config.t_max)
 
 
 def best_control_for_sigma(model: MarkovModel, sigma: SchedulingFunction,
                            config: PlannerConfig) -> JointPolicy:
     """Re-derive the control map for a fixed transmission schedule."""
-    allowed = [(int(t),) for t in sigma.intervals]
-    plans, _, powers = _policy_iteration(model, config, allowed)
-    return _plans_to_policy(model, config, plans, powers)
+    allowed = np.arange(config.t_max + 1) == sigma.intervals[:, None]
+    taus, control, _ = _policy_iteration(model, config, allowed)
+    return JointPolicy.from_intervals(taus, control, config.t_max)
 
 
 def evaluate_policy(model: MarkovModel, sigma: SchedulingFunction,
@@ -365,25 +353,12 @@ def evaluate_policy(model: MarkovModel, sigma: SchedulingFunction,
 
 def evaluate_policy_values(model: MarkovModel, sigma: SchedulingFunction,
                            policy: JointPolicy, config: PlannerConfig) -> np.ndarray:
+    """Renewal values of (sigma, policy.control); estimation tables are
+    read as the guesses made, not assumed to be MAP."""
     if sigma.t_max != config.t_max:
         raise ValueError("sigma t_max does not match planner t_max")
-    powers = None
-    if model.num_actions == 1:
-        powers = _matrix_powers(model.transitions[0], config.t_max)
-        # honor the supplied guess table rather than assuming MAP guesses
-        n = model.num_states
-        gam = config.gamma ** np.arange(config.t_max + 1)
-        c = np.zeros(n)
-        k = np.zeros((n, n))
-        for s in range(n):
-            tau = int(sigma.intervals[s])
-            hit = np.array([powers[t][s, policy.control[s, t] - 1]
-                            for t in range(tau)])
-            c[s] = (gam[:tau] * hit).sum() - gam[tau] * config.beta
-            k[s] = gam[tau] * powers[tau][s]
-        return np.linalg.solve(np.eye(n) - k, c)
-    plans = _plans_from(sigma, policy, model)
-    return _evaluate_plans(model, config, plans, powers)
+    c, k = _plan_stats(model, config, policy.control)
+    return _values(c, k, sigma.intervals)
 
 
 def occupancy_distribution(model: MarkovModel, sigma: SchedulingFunction,
@@ -397,29 +372,12 @@ def occupancy_distribution(model: MarkovModel, sigma: SchedulingFunction,
     """
     n = model.num_states
     taus = sigma.intervals
-    seg_beliefs = []
-    kernel = np.zeros((n, n))
-    for s in range(n):
-        belief = delta_belief(s + 1, n)
-        rows = [belief]
-        for t in range(int(taus[s])):
-            a = 0 if model.num_actions == 1 else int(policy.control[s, t])
-            belief = belief @ model.transitions[a]
-            rows.append(belief)
-        seg_beliefs.append(np.stack(rows))
-        kernel[s] = belief
-    nu = uniform_belief(n)
-    for _ in range(max_iter):
-        nxt = nu @ kernel
-        if np.abs(nxt - nu).sum() < tol:
-            nu = nxt / nxt.sum()
-            break
-        nu = nxt
-    else:
-        raise NumericalError("renewal-chain stationary distribution did not converge")
+    pre = segment_beliefs(model, policy.control, sigma.t_max)
+    nu = power_iteration(pre[np.arange(n), taus], tol, max_iter,
+                         "renewal-chain stationary distribution")
     occupancy = np.zeros(n)
     for s in range(n):
-        occupancy += nu[s] * seg_beliefs[s][:int(taus[s])].sum(axis=0)
+        occupancy += nu[s] * pre[s, :taus[s]].sum(axis=0)
     return occupancy / (nu * taus).sum()
 
 

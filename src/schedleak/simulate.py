@@ -15,6 +15,7 @@ row of any sweep can be regenerated in isolation.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 from dataclasses import dataclass
 from enum import Enum
@@ -154,22 +155,24 @@ class CellSolution:
     def __init__(self, cfg: EpisodeConfig):
         self.scenario = cfg.scenario
         self.model = markov.build_model(cfg.theta, cfg.num_states, cfg.scenario)
+        self.cdf = np.cumsum(self.model.transitions, axis=2)
         self.planner = cfg.planner()
         self.goc = policy.solve_goc(self.model, self.planner)
         self.sigma_goc = policy.extract_sigma(self.goc)
         self.pp_period, self.pp_policy = policy.solve_periodic(self.model, self.planner)
+        self.sigma_pp = policy.extract_sigma(self.pp_policy)
         self.seg_goc = SegmentModel.goal_oriented(self.model, self.sigma_goc, self.goc)
         self.seg_pp = SegmentModel.periodic(self.model, self.pp_period,
                                             self.planner.t_max, self.pp_policy)
         self._pde_steps = None
         self._pde_cache: dict[float, tuple] = {}
+        self._occupancy: dict = {}
 
     def goc_value(self) -> float:
         return policy.evaluate_policy(self.model, self.sigma_goc, self.goc, self.planner)
 
     def pp_value(self) -> float:
-        sigma_pp = policy.extract_sigma(self.pp_policy)
-        return policy.evaluate_policy(self.model, sigma_pp, self.pp_policy, self.planner)
+        return policy.evaluate_policy(self.model, self.sigma_pp, self.pp_policy, self.planner)
 
     def pde_steps(self):
         if self._pde_steps is None:
@@ -189,30 +192,42 @@ class CellSolution:
                 if h <= target:
                     break
             if self.model.num_actions == 1:
-                t_max = self.planner.t_max
-                transmit = (np.arange(t_max + 1)[None, :]
-                            >= sigma_pde.intervals[:, None]).astype(np.int64)
-                transmit[:, 0] = 0
-                transmit[:, t_max] = 1
-                jp = policy.JointPolicy(transmit=transmit,
-                                        control=self.goc.control, t_max=t_max)
+                jp = policy.JointPolicy.from_intervals(
+                    sigma_pde.intervals, self.goc.control, self.planner.t_max)
             else:
                 jp = policy.best_control_for_sigma(self.model, sigma_pde, self.planner)
             seg = SegmentModel.goal_oriented(self.model, sigma_pde, jp)
             self._pde_cache[key] = (sigma_pde, jp, seg)
         return self._pde_cache[key]
 
-    def occupancy(self, kind: PolicyKind, fraction: float = 0.5) -> np.ndarray:
-        """Long-run true-state distribution under a policy kind."""
-        if self.model.num_actions == 1:
-            return markov.steady_state(self.model)
+    def regime(self, kind: PolicyKind, fraction: float):
+        """(sigma, policy, segment model, mode label) of a fixed schedule.
+
+        ADE has no fixed schedule; it switches between the MPI (goal-
+        oriented) and PP (periodic) regimes, and is given the MPI one.
+        """
         if kind is PolicyKind.PP:
-            sigma = policy.extract_sigma(self.pp_policy)
-            return policy.occupancy_distribution(self.model, sigma, self.pp_policy)
+            return self.sigma_pp, self.pp_policy, self.seg_pp, "periodic"
         if kind is PolicyKind.PDE:
-            sigma_pde, jp, _ = self.pde(fraction)
-            return policy.occupancy_distribution(self.model, sigma_pde, jp)
-        return policy.occupancy_distribution(self.model, self.sigma_goc, self.goc)
+            return (*self.pde(fraction), "goc")
+        return self.sigma_goc, self.goc, self.seg_goc, "goc"
+
+    def occupancy(self, kind: PolicyKind, fraction: float = 0.5) -> np.ndarray:
+        """Long-run true-state distribution under a policy kind, memoised.
+
+        Estimation dynamics ignore the schedule, so one distribution serves
+        every kind; under control, ADE shares the goal-oriented one.
+        """
+        key = None if self.model.num_actions == 1 else (
+            PolicyKind.MPI if kind is PolicyKind.ADE else kind,
+            round(float(fraction), 12) if kind is PolicyKind.PDE else None)
+        if key not in self._occupancy:
+            if key is None:
+                self._occupancy[key] = markov.steady_state(self.model)
+            else:
+                sigma, jp, _, _ = self.regime(key[0], fraction)
+                self._occupancy[key] = policy.occupancy_distribution(self.model, sigma, jp)
+        return self._occupancy[key]
 
 
 def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
@@ -221,18 +236,18 @@ def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
     sol = solution if solution is not None else CellSolution(cfg)
     model, n_states = sol.model, sol.model.num_states
     n_steps, gap = cfg.n_steps, cfg.d_gap
-    kind = cfg.policy_kind
+    kind, fraction = cfg.policy_kind, cfg.target_entropy_fraction
     rng = np.random.default_rng([cfg.seed, episode_index])
-    cum = np.cumsum(model.transitions, axis=2)
 
-    mu0 = sol.occupancy(kind, cfg.target_entropy_fraction)
-    if kind is PolicyKind.PDE:
-        sigma_pde, jp_pde, seg_pde = sol.pde(cfg.target_entropy_fraction)
+    mu0 = sol.occupancy(kind, fraction)
+    regime = sol.regime(kind, fraction)
     ade = None
     if kind is PolicyKind.ADE:
         ade = AdeState(mode=DefenseMode.GOC, l_low=cfg.l_low, l_high=cfg.l_high,
                        period=sol.pp_period, goc_segment=sol.seg_goc,
                        pp_segment=sol.seg_pp)
+        regimes = {DefenseMode.GOC: regime,
+                   DefenseMode.PERIODIC: sol.regime(PolicyKind.PP, fraction)}
 
     est = EveEstimator(model, active=sol.seg_goc, prior=mu0)
 
@@ -256,29 +271,13 @@ def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
         if n == next_tx:
             if n > 0:
                 est.observe(interval)
-            s_rep = s + 1
-            if kind is PolicyKind.MPI:
-                interval, seg, control_row = (sol.sigma_goc(s_rep), sol.seg_goc,
-                                              sol.goc.control[s])
-                modes_label = "goc"
-            elif kind is PolicyKind.PP:
-                interval, seg, control_row = (sol.pp_period, sol.seg_pp,
-                                              sol.pp_policy.control[s])
-                modes_label = "periodic"
-            elif kind is PolicyKind.PDE:
-                interval, seg, control_row = (sigma_pde(s_rep), seg_pde,
-                                              jp_pde.control[s])
-                modes_label = "goc"
-            else:
-                interval, mode = defenses.ade_schedule(
-                    s_rep, ade, sol.sigma_goc, est, gap,
+            if ade is not None:
+                _, mode = defenses.ade_schedule(
+                    s + 1, ade, sol.sigma_goc, est, gap,
                     forecast_mode=cfg.forecast_mode)
-                if mode is DefenseMode.GOC:
-                    seg, control_row = sol.seg_goc, sol.goc.control[s]
-                    modes_label = "goc"
-                else:
-                    seg, control_row = sol.seg_pp, sol.pp_policy.control[s]
-                    modes_label = "periodic"
+                regime = regimes[mode]
+            sigma, jp, seg, modes_label = regime
+            interval, control_row = sigma(s + 1), jp.control[s]
             est.set_active(seg)
             transmits[n] = 1
             last_tx = n
@@ -293,7 +292,7 @@ def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
         leakages[n] = est.leakage(n, gap)
         modes[n] = modes_label
         matrix_index = 0 if model.num_actions == 1 else a
-        s = draw(cum[matrix_index, s])
+        s = draw(sol.cdf[matrix_index, s])
 
     comm_rewards = -cfg.beta * transmits.astype(float)
     eve_hits = np.zeros(n_steps, dtype=np.int64)
@@ -340,12 +339,6 @@ def aggregate(episodes: list[EpisodeMetrics]) -> BatchMetrics:
     return BatchMetrics(means=means, stderrs=stderrs, n_episodes=n)
 
 
-def _cell_config(base: EpisodeConfig, **overrides) -> EpisodeConfig:
-    doc = {k: getattr(base, k) for k in EpisodeConfig.__dataclass_fields__}
-    doc.update(overrides)
-    return EpisodeConfig(**doc)
-
-
 def sweep(base: EpisodeConfig, thetas, betas, d_gaps, kinds,
           n_episodes: int, solutions: dict | None = None) -> list[dict]:
     """One aggregated row per (theta, beta, d_gap, policy kind) cell.
@@ -361,7 +354,7 @@ def sweep(base: EpisodeConfig, thetas, betas, d_gaps, kinds,
             try:
                 if key not in solutions:
                     solutions[key] = CellSolution(
-                        _cell_config(base, theta=theta, beta=beta))
+                        dataclasses.replace(base, theta=theta, beta=beta))
                 sol = solutions[key]
             except Exception as exc:  # noqa: BLE001 - per-cell fault isolation
                 for d in d_gaps:
@@ -374,8 +367,8 @@ def sweep(base: EpisodeConfig, thetas, betas, d_gaps, kinds,
             for d in d_gaps:
                 for kind in kinds:
                     kind = PolicyKind(kind)
-                    cfg = _cell_config(base, theta=theta, beta=beta, d_gap=d,
-                                       policy_kind=kind)
+                    cfg = dataclasses.replace(base, theta=theta, beta=beta, d_gap=d,
+                                              policy_kind=kind)
                     row = {"scenario": base.scenario.value, "theta": theta,
                            "beta": beta, "d_gap": d, "policy": kind.value}
                     try:
@@ -413,7 +406,7 @@ def pareto_sweep(base: EpisodeConfig, ade_lows, pde_fractions,
     rows = []
 
     def add(kind: PolicyKind, param: float | None, **overrides):
-        cfg = _cell_config(base, policy_kind=kind, **overrides)
+        cfg = dataclasses.replace(base, policy_kind=kind, **overrides)
         row = {"defense": kind.value, "param": param}
         try:
             batch = run_batch(cfg, n_episodes, sol)

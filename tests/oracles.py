@@ -4,7 +4,8 @@ These deliberately share no smoothing/solver code with the package: the
 posterior oracle enumerates complete state trajectories and filters them
 by timing consistency; the policy oracle enumerates complete joint
 policies and evaluates each by linear solve; the return oracle is a
-seeded Monte-Carlo rollout.
+seeded Monte-Carlo rollout; the occupancy oracle solves for the stationary
+law of the explicit (last reported state, elapsed time, true state) chain.
 """
 
 from __future__ import annotations
@@ -157,3 +158,34 @@ def monte_carlo_return(transitions: np.ndarray, reward_vec: np.ndarray | None,
             disc *= gamma
         totals[ep] = value
     return float(totals.mean()), float(totals.std(ddof=1) / np.sqrt(n_episodes))
+
+
+def renewal_occupancy(transitions: np.ndarray, intervals: np.ndarray,
+                      control: np.ndarray | None) -> np.ndarray:
+    """Long-run distribution of the true state under a renewal schedule.
+
+    Builds the chain over (last reported state r, elapsed time d < tau(r),
+    true state x) explicitly, solves pi P = pi with the normalization row
+    appended, and marginalizes onto x.  ``control`` rows hold action
+    indices; None means the single action.
+    """
+    n = transitions.shape[1]
+    index = {(r, d, x): None for r in range(n) for d in range(int(intervals[r]))
+             for x in range(n)}
+    for i, key in enumerate(index):
+        index[key] = i
+    p = np.zeros((len(index), len(index)))
+    for (r, d, x), i in index.items():
+        a = int(control[r, d]) if control is not None else 0
+        for y in range(n):
+            nxt = (y, 0, y) if d + 1 == int(intervals[r]) else (r, d + 1, y)
+            p[i, index[nxt]] += transitions[a, x, y]
+    m = len(index)
+    lhs = np.vstack([p.T - np.eye(m), np.ones(m)])
+    rhs = np.zeros(m + 1)
+    rhs[-1] = 1.0
+    pi = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    occupancy = np.zeros(n)
+    for (_, _, x), i in index.items():
+        occupancy[x] += pi[i]
+    return occupancy

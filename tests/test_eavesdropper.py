@@ -57,7 +57,7 @@ class TestTimingTrace:
 class TestForward:
     def test_two_state_identity_distinguishing(self):
         model, est = make_estimator(np.eye(2), [1, 2], 2)
-        sl.forward_update(est, 1)
+        est.observe(1)
         post = est.smoothed_at_transmission(1, est.times[-1])
         assert np.allclose(post, [1.0, 0.0], atol=1e-12)
 
@@ -102,7 +102,7 @@ class TestBackward:
         est = sl.EveEstimator(m, active=seg, prior=sl.steady_state(m))
         for _ in range(5):
             est.observe(2)
-        for b in sl.backward_pass(est, est.times[-1]):
+        for b in est.backward(est.times[-1]):
             assert np.abs(b - 1 / 30).sum() < 1e-9
 
 
@@ -166,7 +166,7 @@ class TestSmoothing:
         for _ in range(30):
             est.observe(est_cell.pp_period)
         n = est.times[-1]
-        assert np.abs(sl.belief_at_time(est, n, 0).belief - mu).sum() < 0.01
+        assert np.abs(est.belief_at_time(n, 0).belief - mu).sum() < 0.01
 
     def test_beliefs_are_probability_vectors(self):
         rng = np.random.default_rng(54)
@@ -188,12 +188,12 @@ class TestLeakage:
                                                 [1 / 3, 1 / 3, 1 / 3]),
                                     [2, 2, 2, 2], 3)
         est.observe(2)
-        assert sl.leakage(est, est.times[-1], 3) < 1e-9
+        assert est.leakage(est.times[-1], 3) < 1e-9
 
     def test_certain_belief_is_one(self):
         model, est = make_estimator(np.eye(2), [1, 2], 2)
         est.observe(1)
-        assert sl.leakage(est, 1, 0) == pytest.approx(1.0, abs=1e-12)
+        assert est.leakage(1, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_half_value(self):
         # identity chain, two states share tau=1: posterior (1/2, 1/2, 0, ...)
@@ -202,7 +202,7 @@ class TestLeakage:
         model, est = make_estimator(np.eye(30), taus, 2,
                                     prior=np.full(30, 1 / 30))
         est.observe(1)
-        got = sl.leakage(est, 1, 0)
+        got = est.leakage(1, 0)
         assert got == pytest.approx(1 - 1 / np.log2(30), abs=1e-9)
 
     def test_monotone_in_gap(self):
@@ -212,7 +212,7 @@ class TestLeakage:
             for tau in intervals:
                 est.observe(tau)
             n = est.times[-1]
-            vals = [sl.leakage(est, n, d) for d in range(0, 6)]
+            vals = [est.leakage(n, d) for d in range(0, 6)]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_theorem_two_floor(self, est_cell):
@@ -226,7 +226,7 @@ class TestLeakage:
             for _ in range(60 // period):
                 est.observe(period)
             n = est.times[-1]
-            assert sl.leakage(est, n, 5) - floor < 0.02
+            assert est.leakage(n, 5) - floor < 0.02
 
 
 class TestMinLeakage:
@@ -249,10 +249,10 @@ class TestAccuracy:
     def test_hit_and_miss(self):
         model, est = make_estimator(np.eye(2), [1, 2], 2)
         est.observe(1)  # certainty on state 1 at time 1
-        assert sl.eve_accuracy(est, 1, 0, true_state=1) == 1
-        assert sl.eve_accuracy(est, 1, 0, true_state=2) == 0
+        assert est.accuracy(1, 0, true_state=1) == 1
+        assert est.accuracy(1, 0, true_state=2) == 0
 
     def test_distinguishing_schedule_identifies(self):
         model, est = make_estimator(np.eye(3), [1, 2, 3], 3)
         est.observe(2)
-        assert sl.eve_accuracy(est, 2, 0, true_state=2) == 1
+        assert est.accuracy(2, 0, true_state=2) == 1

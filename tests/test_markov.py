@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,14 @@ class TestSteadyState:
         m = sl.build_model(16.0, 30, sl.Scenario.ESTIMATION)
         mu = sl.steady_state(m)
         assert np.abs(mu @ m.matrix - mu).sum() < 1e-8
+
+    def test_nonconvergence_reports_true_change(self):
+        # the five-state ring has a period-3 recurrent class {1, 2, 5}
+        m = sl.build_model(1.0, 5, sl.Scenario.ESTIMATION)
+        with pytest.raises(sl.NumericalError, match="within 1000 iterations") as err:
+            sl.steady_state(m, max_iter=1000)
+        change = float(re.search(r"last L1 change (\S+)\)", str(err.value)).group(1))
+        assert change > 0.01
 
 
 class TestEntropy:

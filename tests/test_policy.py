@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import schedleak as sl
-from oracles import brute_force_best, monte_carlo_return, random_stochastic
+from oracles import (brute_force_best, evaluate_joint, monte_carlo_return,
+                     random_stochastic, renewal_occupancy)
 from test_markov import estimation_model, ring_matrix
 
 
@@ -231,6 +232,69 @@ class TestEvaluatePolicy:
                                     cfg.gamma, cfg.beta, n_episodes=4000,
                                     horizon=200, seed=8)
         assert abs(value - mc) < 3 * se
+
+
+class TestSegmentBeliefs:
+    @pytest.mark.parametrize("scenario", list(sl.Scenario))
+    def test_rows_match_propagate_belief(self, scenario):
+        rng = np.random.default_rng(40)
+        model = sl.build_model(4.0, 12, scenario)
+        control = rng.integers(0, model.num_actions, size=(12, 6))
+        pre = sl.segment_beliefs(model, control, 6)
+        assert pre.shape == (12, 7, 12)
+        plan = sl.ControlPlan(control)
+        for s in range(1, 13):
+            for t in range(7):
+                want = sl.propagate_belief(model, sl.delta_belief(s, 12), plan, t,
+                                           renewal_state=s)
+                assert np.abs(pre[s - 1, t] - want).max() < 1e-14
+
+    def test_stats_match_evaluation(self):
+        """c and K on the chosen rows reproduce the oracle's plan values."""
+        rng = np.random.default_rng(41)
+        trans = random_stochastic(rng, 2, 4)
+        reward = rng.random(4) * 5
+        model = sl.MarkovModel(num_states=4, num_actions=2, transitions=trans,
+                               scenario=sl.Scenario.CONTROL, density_decay=1.0,
+                               task_reward=reward)
+        cfg = small_config()
+        taus = rng.integers(1, 4, size=4)
+        control = rng.integers(0, 2, size=(4, 3))
+        c, k = sl.segment_stats(model, cfg, sl.segment_beliefs(model, control, 3), control)
+        idx = np.arange(4)
+        got = np.linalg.solve(np.eye(4) - k[idx, taus], c[idx, taus])
+        plans = [(int(t), tuple(control[s, :t])) for s, t in enumerate(taus)]
+        want = evaluate_joint(trans, reward, plans, cfg.gamma, cfg.beta)
+        assert np.abs(got - want).max() < 1e-12
+
+
+class TestOccupancyDistribution:
+    def test_one_action_equals_steady_state(self):
+        rng = np.random.default_rng(42)
+        model = sl.build_model(32.0, 30, sl.Scenario.ESTIMATION)
+        mu = sl.steady_state(model)
+        guesses = np.ones((30, 10), dtype=np.int64)
+        for _ in range(5):
+            taus = rng.integers(1, 11, size=30)
+            sigma = sl.SchedulingFunction(taus, t_max=10)
+            jp = sl.JointPolicy.from_intervals(taus, guesses, 10)
+            occ = sl.occupancy_distribution(model, sigma, jp)
+            assert np.abs(occ - mu).max() < 1e-12
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_control_matches_explicit_chain(self, trial):
+        rng = np.random.default_rng(60 + trial)
+        n, na, t_max = 4, int(rng.integers(2, 4)), 3
+        trans = random_stochastic(rng, na, n)
+        model = sl.MarkovModel(num_states=n, num_actions=na, transitions=trans,
+                               scenario=sl.Scenario.CONTROL, density_decay=1.0,
+                               task_reward=rng.random(n))
+        taus = rng.integers(1, t_max + 1, size=n)
+        control = rng.integers(0, na, size=(n, t_max))
+        sigma = sl.SchedulingFunction(taus, t_max=t_max)
+        jp = sl.JointPolicy.from_intervals(taus, control, t_max)
+        occ = sl.occupancy_distribution(model, sigma, jp)
+        assert np.abs(occ - renewal_occupancy(trans, taus, control)).max() < 1e-10
 
 
 class TestSerialization:

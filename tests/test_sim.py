@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import schedleak as sl
 from conftest import standard_config
+from schedleak import markov, policy
 
 
 class TestEpisode:
@@ -61,6 +63,30 @@ class TestEpisode:
         at_tx = rec.transmits == 1
         assert np.array_equal(rec.actions[at_tx], rec.states[at_tx])
         assert np.all(rec.task_rewards[at_tx] == 1.0)
+
+    @pytest.mark.parametrize("scenario", list(sl.Scenario))
+    def test_cell_prior_computed_once(self, scenario, monkeypatch):
+        """Episodes share the cell's memoised long-run distributions."""
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(markov, "steady_state", counted(markov.steady_state))
+        monkeypatch.setattr(policy, "occupancy_distribution",
+                            counted(policy.occupancy_distribution))
+        cfg = standard_config(scenario=scenario, num_states=8, t_max=4, n_steps=12)
+        sol = sl.CellSolution(cfg)
+        for kind in sl.PolicyKind:
+            for i in range(2):
+                sl.run_episode(dataclasses.replace(cfg, policy_kind=kind), sol,
+                               episode_index=i)
+        # estimation: one stationary law; control: MPI (shared by ADE), PP, PDE
+        want = 1 if scenario is sl.Scenario.ESTIMATION else 3
+        assert len(calls) == want
 
     def test_csv_fixed_columns(self, est_cell):
         rec, _ = sl.run_episode(standard_config(n_steps=20, seed=11), est_cell)
