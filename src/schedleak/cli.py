@@ -10,7 +10,8 @@ The config is a single JSON document with sections ``model``, ``planner``,
 ``defense``, ``simulation`` and ``output``; unknown keys anywhere are hard
 errors so sweep typos fail fast.  Exit codes: 0 success, 2 config error,
 3 numerical failure.  Set SCHEDLEAK_LOG=debug|info|warning to control
-verbosity.
+verbosity.  ``pareto`` solves only the first ``theta`` and ``beta`` of
+the grid, in one process: it ignores ``--workers``.
 
 Every run writes a ``manifest.json`` with the resolved grid, seed, tool
 version and content hashes of emitted artifacts, sufficient to reproduce
@@ -241,6 +242,8 @@ def cmd_pareto(cfg: dict, out_dir: Path, seed: int, workers: int) -> int:
     d_gap = int(_as_list(cfg["simulation"]["d_gap"])[0])
     base = _base_episode_config(cfg, thetas[0], betas[0], d_gap, seed,
                                 PolicyKind.MPI)
+    log.info("frontier for theta=%g, beta=%g (the first of the grid)",
+             base.theta, base.beta)
     rows = simulate.pareto_sweep(
         base,
         ade_lows=cfg["defense"]["ade_l_low_grid"],
@@ -272,8 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (("solve", "solve and serialize policies"),
                            ("simulate", "run episodes and emit aggregates"),
-                           ("pareto", "sweep defense parameters into a frontier")):
-        p = sub.add_parser(name, help=helptext)
+                           ("pareto", "sweep defense parameters into a frontier "
+                                      "for the first theta and beta of the grid, "
+                                      "in one process (--workers is ignored)")):
+        p = sub.add_parser(name, help=helptext, description=helptext)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed")

@@ -24,6 +24,7 @@ the public timing history, so this adds no power beyond worst case).
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -97,6 +98,7 @@ class SegmentModel:
         self.homogeneous = model.num_actions == 1
         if not self.homogeneous and control is None:
             raise ValueError("control models need a control table")
+        self._emission = (np.arange(t_max + 1)[:, None] == self.taus).astype(float)
         self._pre = segment_beliefs(model, control, t_max)
         if not self.homogeneous:
             suf = np.zeros((n, t_max + 1, n, n))
@@ -124,17 +126,11 @@ class SegmentModel:
 
     def emission(self, tau: int) -> np.ndarray:
         """Indicator over renewal states that emit an interval of ``tau``."""
-        return (self.taus == tau).astype(float)
+        return self._emission[tau]
 
     def prefix_rows(self, ell: int) -> np.ndarray:
         """(S, S) matrix whose row s is the belief ``ell`` steps after s."""
         return self._pre[:, ell]
-
-    def suffix(self, source: int, ell: int) -> np.ndarray:
-        """Transition operator from ``ell`` steps in, to the segment end."""
-        if self.homogeneous:
-            return self._pre[:, int(self.taus[source]) - ell]
-        return self._suf[source, ell]
 
     def interior_raw(self, weights: np.ndarray, ell: int, tau: int,
                      b_next: np.ndarray) -> np.ndarray:
@@ -196,11 +192,6 @@ class EveEstimator:
         self._backward_cache.clear()
         return self
 
-    @property
-    def trace(self) -> TimingTrace:
-        """The interval sequence observed so far, for replay/debugging."""
-        return TimingTrace(tuple(self.intervals))
-
     def clone(self) -> "EveEstimator":
         dup = object.__new__(EveEstimator)
         dup.model = self.model
@@ -221,8 +212,7 @@ class EveEstimator:
         """Index of the last transmission at or before ``horizon``."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        k = int(np.searchsorted(np.asarray(self.times), horizon, side="right")) - 1
-        return min(k, len(self.intervals))
+        return min(bisect.bisect_right(self.times, horizon) - 1, len(self.intervals))
 
     def backward(self, horizon: int) -> list[np.ndarray]:
         """Backward vectors b_0..b_K for the given horizon, flat at b_K."""
@@ -293,7 +283,7 @@ class EveEstimator:
         if m >= times[k_last]:
             belief = self._forward_only(k_last, m - times[k_last])
         else:
-            k = int(np.searchsorted(np.asarray(times), m, side="right")) - 1
+            k = bisect.bisect_right(times, m) - 1
             if times[k] == m:
                 belief = self.smoothed_at_transmission(k, horizon)
             else:
@@ -319,9 +309,9 @@ class EveEstimator:
         return int(int(np.argmax(bel)) + 1 == true_state)
 
 
-def min_leakage(model: MarkovModel, plan=None,
-                mu: np.ndarray | None = None) -> float:
-    """Leakage floor from knowing the long-run state distribution."""
+def min_leakage(model: MarkovModel, mu: np.ndarray | None = None) -> float:
+    """Leakage floor from knowing the long-run state distribution ``mu``
+    (by default the stationary law of a single-action model)."""
     if mu is None:
-        mu = steady_state(model, plan)
+        mu = steady_state(model)
     return 1.0 - shannon_entropy(mu) / math.log2(model.num_states)

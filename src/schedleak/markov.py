@@ -81,10 +81,6 @@ class ControlPlan:
 
     actions: np.ndarray
 
-    @staticmethod
-    def trivial(num_states: int, t_max: int) -> "ControlPlan":
-        return ControlPlan(np.zeros((num_states, t_max), dtype=np.int64))
-
 
 def _ring(idx: np.ndarray | int, num_states: int) -> np.ndarray | int:
     """Map 1-indexed ring arithmetic results back into {1..num_states}."""
@@ -197,28 +193,20 @@ def propagate_belief(model: MarkovModel, start: np.ndarray, plan: ControlPlan | 
     return b
 
 
-def steady_state(model: MarkovModel, plan: ControlPlan | None = None,
-                 tol: float = 1e-12, max_iter: int = 1_000_000) -> np.ndarray:
-    """Stationary distribution by power iteration from the uniform prior.
-
-    For estimation models the plan is irrelevant.  For control models
-    this uses the one-step chain under each state's elapsed-0 action; the
-    closed-loop occupancy of a full (state, elapsed) policy is computed
-    by ``policy.occupancy_distribution``, which accounts for the renewal
-    structure.
+def steady_state(model: MarkovModel, tol: float = 1e-12,
+                 max_iter: int = 1_000_000) -> np.ndarray:
+    """Stationary distribution of a single-action model by power iteration.
 
     The uniform starting point doubles as the canonical fixed point for
     reducible inputs (e.g. the identity chain), where every distribution
-    is stationary and iteration simply stays put.
+    is stationary and iteration simply stays put.  Control models have no
+    plan-free chain; their closed-loop occupancy under a renewal policy
+    is ``policy.occupancy_distribution``.
     """
-    if model.num_actions == 1:
-        m = model.transitions[0]
-    else:
-        if plan is None:
-            raise ValueError("control models need a plan")
-        first = plan.actions[:, 0]
-        m = model.transitions[first, np.arange(model.num_states), :]
-    return power_iteration(m, tol, max_iter, "steady state")
+    if model.num_actions != 1:
+        raise ValueError("steady_state needs a single-action model; use "
+                         "policy.occupancy_distribution for control models")
+    return power_iteration(model.transitions[0], tol, max_iter, "steady state")
 
 
 def power_iteration(matrix: np.ndarray, tol: float, max_iter: int,

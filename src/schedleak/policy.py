@@ -10,9 +10,11 @@ linear solve and lets policy iteration search the full plan space:
 
 * evaluation: per-state discounted segment reward + discounted renewal
   kernel, then ``(I - K) v = c``;
-* improvement: exhaustive enumeration of candidate plans per renewal
-  state against the current values (a belief tree of ``|A|**tau`` nodes),
-  accepting only strict improvements.
+* improvement: an exact branch-and-bound search of candidate plans per
+  renewal state against the current values (a belief tree of
+  ``|A|**tau`` nodes, pruned by full-information upper bounds in the
+  spirit of Hauskrecht, JAIR 13, 2000), accepting only strict
+  improvements.
 
 Ties are always resolved toward the smaller stopping time, then the
 lexicographically smaller action sequence, so outputs are reproducible
@@ -28,12 +30,15 @@ per-state vector.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .markov import (MarkovModel, NumericalError, delta_belief,
                      power_iteration, shannon_entropy)
+
+log = logging.getLogger("schedleak")
 
 
 @dataclass(frozen=True)
@@ -193,58 +198,73 @@ def _values(c, k, taus) -> np.ndarray:
     return np.linalg.solve(np.eye(len(taus)) - k[idx, taus], c[idx, taus])
 
 
-def _improve_control(model, cfg, v0, allowed, width: int | None = None):
-    """Plan search per state: belief tree over action prefixes.
+def _improve_control(model, cfg, v0, allowed):
+    """Exact plan search per state: branch and bound over action prefixes.
 
-    With ``width=None`` the tree is exhaustive, so a sweep that finds no
-    strict improvement certifies optimality against the current values.
-    A finite width keeps only the most promising prefixes per depth
-    (ranked by their value if stopped immediately), which is cheap enough
-    to run to convergence before paying for exhaustive verification.
+    A prefix is bounded by the full-information values ``W[:, j]`` of j
+    more steps and then a stop, which no open-loop plan can beat.  It is
+    expanded only while that bound reaches both the best plan found so
+    far and the state's current value, less a rounding margin, so a sweep
+    that finds no strict improvement certifies optimality against v0.
 
     Nodes at each depth are enumerated with earlier actions varying last
     (parent-major), so taking the first maximum while scanning depths in
     ascending order realizes the (smaller tau, smaller actions) rule.
+    Returns (taus, control, values, nodes expanded).
     """
     n, na = model.num_states, model.num_actions
     r = model.task_reward
     stop_vec = -cfg.beta + v0
     # beliefs are row vectors: children of row z are [z @ M_a for each a]
     stacked = np.concatenate(list(model.transitions), axis=1)
+    w = np.empty((n, cfg.t_max + 1))
+    w[:, 0] = stop_vec
+    for j in range(1, cfg.t_max + 1):
+        w[:, j] = r + cfg.gamma * (model.transitions @ w[:, j - 1]).max(axis=0)
     taus = np.ones(n, dtype=np.int64)
     control = np.zeros((n, cfg.t_max), dtype=np.int64)
     best_vals = np.empty(n)
+    expanded = 0
     for s in range(n):
-        depth_cap = int(np.flatnonzero(allowed[s])[-1])
+        stops = np.flatnonzero(allowed[s])
+        margin = 1e-12 * max(1.0, abs(v0[s]))
         beliefs = delta_belief(s + 1, n)[None, :]
         acc = np.zeros(1)
         paths = np.zeros((1, 0), dtype=np.int8)
         best_val = -np.inf
-        for t in range(1, depth_cap + 1):
+        for t in range(1, stops[-1] + 1):
+            expanded += len(acc)
             step = cfg.gamma ** (t - 1) * (beliefs @ r)
             acc = np.repeat(acc + step, na)
             # row p*na + a is (parent p, action a): lexicographic order
-            beliefs = (beliefs @ stacked).reshape(-1, n)
+            if t < stops[-1]:
+                beliefs = (beliefs @ stacked).reshape(-1, n)
+                ends = beliefs @ stop_vec
+            else:   # leaves need only values; slices bound the peak memory
+                ends = np.concatenate([(z @ stacked).reshape(-1, n) @ stop_vec for z in
+                                       np.array_split(beliefs, len(beliefs) // 4096 + 1)])
             paths = np.concatenate(
                 [np.repeat(paths, na, axis=0),
                  np.tile(np.arange(na, dtype=np.int8), len(step))[:, None]],
                 axis=1)
-            vals = acc + cfg.gamma ** t * (beliefs @ stop_vec)
+            vals = acc + cfg.gamma ** t * ends
             if allowed[s, t]:
                 i = int(np.argmax(vals))
                 if vals[i] > best_val:
                     best_val = float(vals[i])
                     taus[s] = t
                     control[s, :t] = paths[i]
-            if width is not None and len(vals) > width and t < depth_cap:
-                keep = np.argsort(-vals, kind="stable")[:width]
-                keep.sort()
+            if t == stops[-1]:
+                break
+            ahead = stops[stops > t] - t
+            bound = acc + cfg.gamma ** t * (beliefs @ w[:, ahead]).max(axis=1)
+            keep = bound >= max(best_val, v0[s]) - margin
+            if not keep.any():
+                break
+            if not keep.all():
                 beliefs, acc, paths = beliefs[keep], acc[keep], paths[keep]
         best_vals[s] = best_val
-    return taus, control, best_vals
-
-
-_BEAM_WIDTH = 64
+    return taus, control, best_vals, expanded
 
 
 def _policy_iteration(model, cfg, allowed, init_control=None):
@@ -254,10 +274,10 @@ def _policy_iteration(model, cfg, allowed, init_control=None):
     ``init_control`` (control models) or all-zero actions.  Estimation
     models guess by MAP, ties to the smaller state; their c and K tables
     never change, so improvement is a masked argmax over stopping times.
-    Control models iterate with beam-limited improvement first, then an
-    exhaustive sweep; only an exhaustive sweep that finds no strict
-    improvement terminates, so the fixed point is optimal over the full
-    plan space regardless of the beam.  Returns (taus, control, values).
+    Control models improve by the exact branch-and-bound plan search.
+    Every sweep is exact, so the first sweep that finds no strict
+    improvement ends at a plan set optimal over the full plan space.
+    Returns (taus, control, values).
     """
     n = model.num_states
     eps = min(1e-11, cfg.value_tolerance)
@@ -271,24 +291,20 @@ def _policy_iteration(model, cfg, allowed, init_control=None):
         control = np.zeros((n, cfg.t_max), dtype=np.int64)
     c, k = _plan_stats(model, cfg, control)
     v0 = _values(c, k, taus)
-    width = _BEAM_WIDTH
-    for _ in range(cfg.max_sweeps):
+    expanded = 0
+    for sweep in range(1, cfg.max_sweeps + 1):
         if model.num_actions == 1:
             vals = np.where(allowed, c + k @ v0, -np.inf)
             cand_taus, cand_control = np.argmax(vals, axis=1), control
             best = vals[np.arange(n), cand_taus]
-            exhaustive = True
         else:
-            cand_taus, cand_control, best = _improve_control(
-                model, cfg, v0, allowed, width=width)
-            exhaustive = width is None
+            cand_taus, cand_control, best, nodes = _improve_control(model, cfg, v0, allowed)
+            expanded += nodes
         accept = best > v0 + eps
         if not accept.any():
-            if exhaustive:
-                return taus, control, v0
-            width = None          # beam converged; verify exhaustively
-            continue
-        width = _BEAM_WIDTH       # progress: resume cheap sweeps
+            log.debug("policy iteration: %d sweeps, %d plan nodes expanded",
+                      sweep, expanded)
+            return taus, control, v0
         taus = np.where(accept, cand_taus, taus)
         control = np.where(accept[:, None], cand_control, control)
         c, k = _plan_stats(model, cfg, control)

@@ -3,9 +3,10 @@
 These deliberately share no smoothing/solver code with the package: the
 posterior oracle enumerates complete state trajectories and filters them
 by timing consistency; the policy oracle enumerates complete joint
-policies and evaluates each by linear solve; the return oracle is a
-seeded Monte-Carlo rollout; the occupancy oracle solves for the stationary
-law of the explicit (last reported state, elapsed time, true state) chain.
+policies (or every action sequence under a fixed schedule) and
+evaluates each by linear solve; the return oracle is a seeded Monte-Carlo
+rollout; the occupancy oracle solves for the stationary law of the
+explicit (last reported state, elapsed time, true state) chain.
 """
 
 from __future__ import annotations
@@ -122,6 +123,22 @@ def brute_force_best(transitions: np.ndarray, reward_vec: np.ndarray | None,
             best = v
         else:
             best = np.maximum(best, v)
+    return best
+
+
+def brute_force_for_schedule(transitions: np.ndarray, reward_vec: np.ndarray,
+                             gamma: float, beta: float,
+                             intervals: np.ndarray) -> np.ndarray:
+    """Optimal renewal values when state s must stop at ``intervals[s]``:
+    every action sequence of that length is enumerated per state."""
+    num_actions = transitions.shape[0]
+    per_state = [[(int(tau), actions)
+                  for actions in itertools.product(range(num_actions), repeat=int(tau))]
+                 for tau in intervals]
+    best = None
+    for plans in itertools.product(*per_state):
+        v = evaluate_joint(transitions, reward_vec, plans, gamma, beta)
+        best = v if best is None else np.maximum(best, v)
     return best
 
 

@@ -178,6 +178,11 @@ class TestSteadyState:
         mu = sl.steady_state(m)
         assert np.abs(mu @ m.matrix - mu).sum() < 1e-8
 
+    def test_control_model_rejected(self):
+        m = sl.build_model(8.0, 10, sl.Scenario.CONTROL)
+        with pytest.raises(ValueError, match="occupancy_distribution"):
+            sl.steady_state(m)
+
     def test_nonconvergence_reports_true_change(self):
         # the five-state ring has a period-3 recurrent class {1, 2, 5}
         m = sl.build_model(1.0, 5, sl.Scenario.ESTIMATION)

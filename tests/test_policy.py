@@ -1,10 +1,19 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
 import schedleak as sl
-from oracles import (brute_force_best, evaluate_joint, monte_carlo_return,
-                     random_stochastic, renewal_occupancy)
+from oracles import (brute_force_best, brute_force_for_schedule, evaluate_joint,
+                     monte_carlo_return, random_stochastic, renewal_occupancy)
 from test_markov import estimation_model, ring_matrix
+
+
+def control_model(trans, reward):
+    return sl.MarkovModel(num_states=trans.shape[1], num_actions=trans.shape[0],
+                          transitions=trans, scenario=sl.Scenario.CONTROL,
+                          density_decay=1.0, task_reward=reward)
 
 
 def small_config(**kw):
@@ -175,6 +184,59 @@ class TestSolvePeriodic:
             policy = sl.best_control_for_sigma(model, sigma, cfg)
             vals[t] = sl.evaluate_policy(model, sigma, policy, cfg)
         assert vals[period] == pytest.approx(max(vals.values()), abs=1e-9)
+
+
+class TestBestControlForSigma:
+    @pytest.mark.parametrize("trial", range(6))
+    def test_matches_brute_force(self, trial):
+        rng = np.random.default_rng(200 + trial)
+        trans = random_stochastic(rng, 2, 3)
+        reward = rng.random(3) * 5
+        model = control_model(trans, reward)
+        cfg = small_config(gamma=float(rng.uniform(0.5, 0.97)),
+                           beta=float(rng.uniform(0.0, 1.5)))
+        taus = np.ones(3, dtype=np.int64)
+        while len(set(taus.tolist())) == 1:
+            taus = rng.integers(1, 4, size=3)
+        sigma = sl.SchedulingFunction(taus, t_max=3)
+        jp = sl.best_control_for_sigma(model, sigma, cfg)
+        assert np.array_equal(sl.extract_sigma(jp).intervals, taus)
+        got = sl.evaluate_policy_values(model, sigma, jp, cfg)
+        want = brute_force_for_schedule(trans, reward, cfg.gamma, cfg.beta, taus)
+        assert np.abs(got - want).max() < 1e-8
+
+    def test_identical_actions_keep_first_plan(self):
+        """With three copies of one matrix every action sequence ties; the
+        search must return the all-zero sequences.  (Actions cannot change
+        the reward here, so no prefix is ever pruned.)"""
+        rng = np.random.default_rng(11)
+        n, t_max = 6, 10
+        model = control_model(np.repeat(random_stochastic(rng, 1, n), 3, axis=0),
+                              rng.random(n) * 5)
+        cfg = sl.PlannerConfig(beta=1.0, t_max=t_max)
+        assert (sl.solve_goc(model, cfg).control == 0).all()
+        sigma = sl.SchedulingFunction(rng.integers(1, t_max + 1, size=n), t_max=t_max)
+        assert (sl.best_control_for_sigma(model, sigma, cfg).control == 0).all()
+
+    def test_duplicate_action_never_chosen_under_pruning(self, caplog):
+        """Action 2 copies action 1, so it ties with it everywhere and the
+        tie rule keeps action 1, also when most prefixes are pruned."""
+        rng = np.random.default_rng(1)
+        n, t_max = 6, 10
+        pair = random_stochastic(rng, 2, n)
+        model = control_model(pair[[0, 1, 1]], rng.random(n) * 5)
+        cfg = sl.PlannerConfig(beta=0.1, t_max=t_max)
+        caplog.set_level(logging.DEBUG, logger="schedleak")
+        jp = sl.solve_goc(model, cfg)
+        assert (jp.control == 1).any() and not (jp.control == 2).any()
+        lines = [r.getMessage() for r in caplog.records if r.name == "schedleak"]
+        assert len(lines) == 1
+        sweeps, nodes = map(int, re.fullmatch(
+            r"policy iteration: (\d+) sweeps, (\d+) plan nodes expanded",
+            lines[0]).groups())
+        assert nodes < 0.1 * sweeps * n * sum(3 ** t for t in range(t_max))
+        sigma = sl.SchedulingFunction(np.arange(n) % t_max + 1, t_max=t_max)
+        assert not (sl.best_control_for_sigma(model, sigma, cfg).control == 2).any()
 
 
 class TestEvaluatePolicy:
