@@ -146,9 +146,17 @@ class EveEstimator:
     """Sequential smoother over the observed interval sequence.
 
     Forward vectors are renormalized at every update (the running log
-    normalizer is kept in ``log_norms``); all returned beliefs are proper
-    probability vectors.  Queries take an explicit horizon so earlier
-    knowledge states can be reconstructed after the fact.
+    normalizer is kept in ``log_norms``, so ``log_norms[-1]`` is the
+    log-likelihood of the trace, and the smallest normalizer so far in
+    ``min_forward_norm``); all returned beliefs are proper probability
+    vectors.  Queries take an explicit horizon so earlier knowledge
+    states can be reconstructed after the fact.
+
+    Cost: backward vectors depend only on later intervals, so they are
+    made lazily from the last request downwards and only as far as a
+    query reaches (fixed-lag smoothing).  A belief or leakage query costs
+    work proportional to the requests inside its window, not to the
+    length of the episode; ``backward_vectors`` counts the vectors made.
     """
 
     def __init__(self, model: MarkovModel, active: SegmentModel,
@@ -166,6 +174,9 @@ class EveEstimator:
         self.segment_models: list[SegmentModel] = []
         self.forwards = [self.prior / self.prior.sum()]
         self.log_norms = [0.0]
+        self.min_forward_norm = math.inf
+        self.backward_vectors = 0
+        # per last request index K: [b_K, b_{K-1}, ...] as far as computed
         self._backward_cache: dict[int, list[np.ndarray]] = {}
 
     # -- observation ------------------------------------------------------
@@ -189,6 +200,7 @@ class EveEstimator:
         self.times.append(self.times[-1] + int(tau))
         self.forwards.append(nxt / norm)
         self.log_norms.append(self.log_norms[-1] + math.log(norm))
+        self.min_forward_norm = min(self.min_forward_norm, float(norm))
         self._backward_cache.clear()
         return self
 
@@ -203,6 +215,8 @@ class EveEstimator:
         dup.segment_models = list(self.segment_models)
         dup.forwards = list(self.forwards)
         dup.log_norms = list(self.log_norms)
+        dup.min_forward_norm = self.min_forward_norm
+        dup.backward_vectors = self.backward_vectors
         dup._backward_cache = {}
         return dup
 
@@ -212,37 +226,48 @@ class EveEstimator:
         """Index of the last transmission at or before ``horizon``."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        return min(bisect.bisect_right(self.times, horizon) - 1, len(self.intervals))
+        t_last, t_max = self.times[-1], self.active.t_max
+        if horizon - t_last > t_max:
+            raise ValueError(
+                f"horizon {horizon} is more than t_max={t_max} steps after the "
+                f"last observed request (at {t_last}); a request must have "
+                f"been observed by then")
+        return bisect.bisect_right(self.times, horizon) - 1
 
-    def backward(self, horizon: int) -> list[np.ndarray]:
-        """Backward vectors b_0..b_K for the given horizon, flat at b_K."""
+    def backward(self, horizon: int, down_to: int = 0) -> list[np.ndarray]:
+        """Backward vectors b_down_to..b_K for the given horizon, flat at b_K.
+
+        K is the last request at or before ``horizon``, and element i of
+        the list is b_{down_to+i}; the default returns b_0..b_K.  Vectors
+        are kept per K until the next ``observe``, and a call computes
+        only those below what earlier calls for the same K reached, so
+        asking down to the requests inside a window costs those requests
+        alone.
+        """
         k_last = self.last_index(horizon)
-        cached = self._backward_cache.get(k_last)
-        if cached is not None:
-            return cached
-        vecs = [None] * (k_last + 1)
-        vecs[k_last] = np.full(self.num_states, 1.0 / self.num_states)
-        for k in range(k_last - 1, -1, -1):
+        if not 0 <= down_to <= k_last:
+            raise ValueError(f"down_to {down_to} outside 0..{k_last}")
+        tail = self._backward_cache.get(k_last)
+        if tail is None:
+            tail = [np.full(self.num_states, 1.0 / self.num_states)]
+            self._backward_cache[k_last] = tail
+            self.backward_vectors += 1
+        for k in range(k_last - len(tail), down_to - 1, -1):
             seg = self.segment_models[k]          # model of interval k+1
             tau = self.intervals[k]
-            raw = seg.emission(tau) * (seg.prefix_rows(tau) @ vecs[k + 1])
+            raw = seg.emission(tau) * (seg.prefix_rows(tau) @ tail[-1])
             norm = raw.sum()
             if norm <= 0.0:
                 raise InconsistentTimingError(k + 1, tau)
-            vecs[k] = raw / norm
-        self._backward_cache[k_last] = vecs
-        return vecs
+            tail.append(raw / norm)
+            self.backward_vectors += 1
+        return tail[k_last - down_to::-1]
 
     def smoothed_at_transmission(self, k: int, horizon: int) -> np.ndarray:
         """Posterior of the state reported at transmission ``k``."""
-        vecs = self.backward(horizon)
-        if k >= len(vecs):
+        if k > self.last_index(horizon):
             raise ValueError(f"transmission {k} is after the horizon")
-        raw = self.forwards[k] * vecs[k]
-        norm = raw.sum()
-        if norm <= 0.0:
-            raise InconsistentTimingError(k, self.intervals[k - 1] if k else 0)
-        return raw / norm
+        return self._at_request(k, self.backward(horizon, down_to=k)[0])
 
     def belief_at_offset(self, k: int, ell: int, horizon: int) -> np.ndarray:
         """Posterior ``ell`` steps after transmission ``k`` (interior point).
@@ -258,10 +283,22 @@ class EveEstimator:
         tau = self.intervals[k]
         if not 0 <= ell < tau:
             raise ValueError(f"offset {ell} outside segment of length {tau}")
+        return self._interior(k, ell, self.backward(horizon, down_to=k + 1)[0])
+
+    def _at_request(self, k: int, b_k: np.ndarray) -> np.ndarray:
+        """Posterior at request ``k`` from its forward and backward vectors."""
+        raw = self.forwards[k] * b_k
+        norm = raw.sum()
+        if norm <= 0.0:
+            raise InconsistentTimingError(k, self.intervals[k - 1] if k else 0)
+        return raw / norm
+
+    def _interior(self, k: int, ell: int, b_next: np.ndarray) -> np.ndarray:
+        """Posterior ``ell`` steps after request ``k``, given b_{k+1}."""
         seg = self.segment_models[k]
-        vecs = self.backward(horizon)
+        tau = self.intervals[k]
         w = self.forwards[k] * seg.emission(tau)
-        raw = seg.interior_raw(w, ell, tau, vecs[k + 1])
+        raw = seg.interior_raw(w, ell, tau, b_next)
         norm = raw.sum()
         if norm <= 0.0:
             raise InconsistentTimingError(k + 1, tau)
@@ -273,33 +310,56 @@ class EveEstimator:
         raw = self.forwards[k] @ seg.prefix_rows(ell)
         return raw / raw.sum()
 
+    def _beliefs(self, horizon: int, top: int, bottom: int):
+        """Posteriors at times top, top-1, ..., bottom in one pass.
+
+        One backward call covers the window; the segment of each instant
+        is found by walking down ``times`` from the horizon's last request.
+        """
+        k_last = self.last_index(horizon)
+        times = self.times
+        m = top
+        while m >= bottom and m >= times[k_last]:
+            yield self._forward_only(k_last, m - times[k_last])
+            m -= 1
+        if m < bottom:
+            return
+        low = bisect.bisect_right(times, bottom) - 1
+        if times[low] < bottom:
+            low += 1                     # interior points need b of the segment end
+        vecs = self.backward(horizon, down_to=low)
+        k = k_last - 1
+        while m >= bottom:
+            while times[k] > m:
+                k -= 1
+            if times[k] == m:
+                yield self._at_request(k, vecs[k - low])
+            else:
+                yield self._interior(k, m - times[k], vecs[k + 1 - low])
+            m -= 1
+
     def belief_at_time(self, horizon: int, delay: int) -> SmoothedBelief:
         """Posterior of the state at time ``horizon - delay``."""
         m = horizon - delay
         if m < 0:
             raise ValueError("horizon - delay must be nonnegative")
-        k_last = self.last_index(horizon)
-        times = self.times
-        if m >= times[k_last]:
-            belief = self._forward_only(k_last, m - times[k_last])
-        else:
-            k = bisect.bisect_right(times, m) - 1
-            if times[k] == m:
-                belief = self.smoothed_at_transmission(k, horizon)
-            else:
-                belief = self.belief_at_offset(k, m - times[k], horizon)
+        belief = next(self._beliefs(horizon, m, m))
         return SmoothedBelief(belief=belief, time=horizon, delay=delay)
 
     # -- metrics ----------------------------------------------------------
 
     def leakage(self, horizon: int, gap: int) -> float:
-        """Best normalized certainty over the trailing opacity window."""
+        """Best normalized certainty over the trailing opacity window.
+
+        One pass over the instants ``horizon, horizon-1, ...,
+        horizon-min(gap, horizon)``; its cost is proportional to the
+        requests inside that window.
+        """
         if gap < 0:
             raise ValueError("gap must be nonnegative")
         h0 = math.log2(self.num_states)
         best = 0.0
-        for d in range(min(gap, horizon) + 1):
-            bel = self.belief_at_time(horizon, d).belief
+        for bel in self._beliefs(horizon, horizon, horizon - min(gap, horizon)):
             best = max(best, 1.0 - shannon_entropy(bel) / h0)
         return best
 

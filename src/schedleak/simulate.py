@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import logging
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +28,8 @@ from .defenses import AdeState, DefenseMode
 from .eavesdropper import EveEstimator, SegmentModel
 from .markov import Scenario
 from .policy import PlannerConfig
+
+log = logging.getLogger("schedleak")
 
 CSV_COLUMNS = ["n", "s", "a", "c", "r_task", "r_comm", "leakage", "eve_hit", "mode"]
 
@@ -302,6 +305,11 @@ def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
         truncated[n] = n + gap > n_steps - 1
         bel = est.belief_at_time(horizon, horizon - n).belief
         eve_hits[n] = int(int(np.argmax(bel)) + 1 == states[n])
+    log.debug("listener: %s episode, %d steps, %d requests observed, "
+              "%d backward vectors, trace log-likelihood %.6g, "
+              "smallest forward normaliser %.3g", kind.value, n_steps,
+              len(est.times), est.backward_vectors, est.log_norms[-1],
+              est.min_forward_norm)
 
     record = EpisodeRecord(states=states, actions=actions, transmits=transmits,
                            task_rewards=task_rewards, comm_rewards=comm_rewards,

@@ -1,3 +1,6 @@
+import bisect
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,41 @@ def random_instance(rng, control=False):
             s = int(rng.choice(n, p=trans[a, s]))
         intervals.append(tau)
     return model, est, trans, taus, plan, prior, intervals
+
+
+def alternating_instance(rng, control, n_requests=10):
+    """Random chain under two regimes that take turns through
+    ``set_active``, as ADE switches them, fed a consistent interval
+    sequence of ``n_requests`` intervals."""
+    model, est, trans, taus, plan, prior, _ = random_instance(rng, control=control)
+    n, t_max = model.num_states, est.active.t_max
+    taus2 = rng.integers(1, t_max + 1, size=n)
+    plan2 = rng.integers(0, model.num_actions, size=(n, t_max)) if control else None
+    regimes = [(taus, plan, est.active),
+               (taus2, plan2, sl.SegmentModel(model, taus2, plan2, t_max))]
+    s = int(rng.choice(n, p=prior))
+    for i in range(n_requests):
+        r_taus, r_plan, seg = regimes[int(rng.integers(2))]
+        est.set_active(seg)
+        tau = int(r_taus[s])
+        renewal = s
+        for d in range(tau):
+            a = int(r_plan[renewal, d]) if control else 0
+            s = int(rng.choice(n, p=trans[a, s]))
+        est.observe(tau)
+        yield est
+
+
+def eager_backward(est, horizon):
+    """Every backward vector from the flat boundary down to request 0."""
+    k_last = bisect.bisect_right(est.times, horizon) - 1
+    vecs = [None] * (k_last + 1)
+    vecs[k_last] = np.full(est.num_states, 1.0 / est.num_states)
+    for k in range(k_last - 1, -1, -1):
+        seg, tau = est.segment_models[k], est.intervals[k]
+        raw = seg.emission(tau) * (seg.prefix_rows(tau) @ vecs[k + 1])
+        vecs[k] = raw / raw.sum()
+    return vecs
 
 
 class TestTimingTrace:
@@ -104,6 +142,43 @@ class TestBackward:
             est.observe(2)
         for b in est.backward(est.times[-1]):
             assert np.abs(b - 1 / 30).sum() < 1e-9
+
+
+    def test_default_is_full_list(self):
+        rng = np.random.default_rng(56)
+        for est in alternating_instance(rng, control=False, n_requests=4):
+            pass
+        assert len(est.backward(est.times[-1])) == len(est.times)
+        assert len(est.backward(est.times[-2], down_to=1)) == len(est.times) - 2
+        with pytest.raises(ValueError, match="down_to"):
+            est.backward(est.times[-2], down_to=len(est.times) - 1)
+
+    @pytest.mark.parametrize("trial", range(8))
+    def test_lazy_tail_equals_full_pass(self, trial):
+        """Tails extended piecewise, in any order, equal one full pass."""
+        rng = np.random.default_rng(2000 + trial)
+        for est in alternating_instance(rng, control=trial % 2 == 1):
+            for h in range(est.times[-1] + est.active.t_max + 1):
+                k_last = est.last_index(h)
+                want = eager_backward(est, h)
+                fresh = est.clone().backward(h)
+                assert all(np.array_equal(a, b) for a, b in zip(fresh, want))
+                for down_to in rng.permutation(k_last + 1)[:3]:
+                    got = est.backward(h, down_to=int(down_to))
+                    assert len(got) == k_last + 1 - down_to
+                    for i, b in enumerate(got):
+                        assert np.array_equal(b, want[down_to + i]), (h, down_to, i)
+
+    def test_work_stays_inside_the_window(self):
+        m = sl.build_model(8.0, 30, sl.Scenario.ESTIMATION)
+        seg = sl.SegmentModel(m, np.full(30, 2), None, 10)
+        est = sl.EveEstimator(m, active=seg, prior=sl.steady_state(m))
+        for _ in range(200):
+            est.observe(2)
+            before = est.backward_vectors
+            est.leakage(est.times[-1], 5)
+            # window [h-5, h] holds requests K, K-1, K-2 and needs b of K-2 up
+            assert est.backward_vectors - before == min(3, len(est.times))
 
 
 class TestSmoothing:
@@ -227,6 +302,33 @@ class TestLeakage:
                 est.observe(period)
             n = est.times[-1]
             assert est.leakage(n, 5) - floor < 0.02
+
+
+    @pytest.mark.parametrize("trial", range(8))
+    def test_one_pass_equals_pointwise_max(self, trial):
+        rng = np.random.default_rng(3000 + trial)
+        for est in alternating_instance(rng, control=trial % 2 == 1):
+            pass
+        h0 = math.log2(est.num_states)
+        for h in range(est.times[-1] + 1):
+            for gap in (0, 3, 7):
+                ref = est.clone()
+                want = max([0.0] + [
+                    1.0 - sl.shannon_entropy(ref.belief_at_time(h, d).belief) / h0
+                    for d in range(min(gap, h) + 1)])
+                assert est.leakage(h, gap) == want, (h, gap)
+
+    def test_horizon_past_t_max_fails_fast(self):
+        m = sl.build_model(8.0, 30, sl.Scenario.ESTIMATION)
+        seg = sl.SegmentModel(m, np.full(30, 2), None, 10)
+        est = sl.EveEstimator(m, active=seg, prior=sl.steady_state(m))
+        est.observe(2)
+        est.leakage(12, 0)  # t_max steps after the last request is fine
+        pattern = r"horizon 20 .*t_max=10.*\(at 2\)"
+        with pytest.raises(ValueError, match=pattern):
+            est.leakage(20, 0)
+        with pytest.raises(ValueError, match=pattern):
+            est.belief_at_time(20, 0)
 
 
 class TestMinLeakage:

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import io
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +89,37 @@ class TestEpisode:
         # estimation: one stationary law; control: MPI (shared by ADE), PP, PDE
         want = 1 if scenario is sl.Scenario.ESTIMATION else 3
         assert len(calls) == want
+
+    @staticmethod
+    def listener_lines(caplog):
+        return [r.getMessage() for r in caplog.records
+                if r.name == "schedleak" and r.getMessage().startswith("listener:")]
+
+    def test_listener_debug_line(self, est_cell, caplog):
+        caplog.set_level(logging.DEBUG, logger="schedleak")
+        cfg = standard_config(n_steps=120, seed=12, policy_kind=sl.PolicyKind.ADE)
+        rec, _ = sl.run_episode(cfg, est_cell)
+        lines = self.listener_lines(caplog)
+        assert len(lines) == 1
+        m = re.fullmatch(
+            r"listener: ADE episode, 120 steps, (\d+) requests observed, "
+            r"(\d+) backward vectors, trace log-likelihood (\S+), "
+            r"smallest forward normaliser (\S+)", lines[0])
+        assert m, lines[0]
+        assert int(m[1]) == rec.transmits.sum()
+        assert int(m[2]) > 0
+        assert float(m[3]) < 0.0
+        assert 0.0 < float(m[4]) <= 1.0
+
+    def test_backward_work_linear_in_episode_length(self, est_cell, caplog):
+        """Fixed-lag smoothing: 4x the steps costs about 4x the vectors."""
+        caplog.set_level(logging.DEBUG, logger="schedleak")
+        for n_steps in (400, 1600):
+            sl.run_episode(standard_config(n_steps=n_steps, seed=13), est_cell)
+        counts = [int(re.search(r"(\d+) backward vectors", line)[1])
+                  for line in self.listener_lines(caplog)]
+        assert len(counts) == 2
+        assert counts[1] <= 5 * counts[0], counts
 
     def test_csv_fixed_columns(self, est_cell):
         rec, _ = sl.run_episode(standard_config(n_steps=20, seed=11), est_cell)
