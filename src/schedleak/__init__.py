@@ -10,9 +10,8 @@ seeded, reproducible episode simulator with sweep harnesses.
 
 __version__ = "0.1.0"
 
-from .defenses import (AdeState, DefenseMode, PdeConfig, ade_schedule,
-                       forecast_leakage, pack_pde, pde_packing_steps,
-                       weighted_performance)
+from .defenses import (AdeState, DefenseMode, ade_schedule, forecast_leakage,
+                       pde_packing_steps, weighted_performance)
 from .eavesdropper import (EveEstimator, InconsistentTimingError, SegmentModel,
                            SmoothedBelief, TimingTrace, min_leakage)
 from .markov import (ControlPlan, MarkovModel, NumericalError, Scenario,

@@ -17,6 +17,7 @@ is reached.  Its output is a plain schedule, usable as a lookup table.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,9 +25,11 @@ import numpy as np
 
 from . import policy
 from .eavesdropper import EveEstimator, SegmentModel
-from .markov import MarkovModel
+from .markov import MarkovModel, shannon_entropy
 from .policy import (PlannerConfig, SchedulingFunction, policy_entropy,
                      single_state_deviation)
+
+log = logging.getLogger("schedleak")
 
 
 class DefenseMode(Enum):
@@ -52,16 +55,6 @@ class AdeState:
     def __post_init__(self):
         if not self.l_low < self.l_high:
             raise ValueError("need l_low < l_high")
-
-
-@dataclass(frozen=True)
-class PdeConfig:
-    target_entropy: float
-    t_max: int
-
-    def __post_init__(self):
-        if self.target_entropy < 0:
-            raise ValueError("target entropy must be nonnegative")
 
 
 def forecast_leakage(est: EveEstimator, planned_interval: int, D: int,
@@ -171,20 +164,25 @@ class _ControlScorer(_PackingScorer):
     the incumbent plans, adapting only the deviated state's plan (prefix
     truncation, or a greedy stop-value extension) and swapping that one
     row of the evaluation system.  After a deviation is accepted the
-    control maps are re-optimized exactly for the new schedule, so the
-    incumbent plans stay tight.
+    control maps are re-optimized exactly for the new schedule, warm from
+    the table optimal for the previous one, which differs in one state;
+    so a refresh runs few sweeps and prunes most of the plan tree.  The
+    first refresh starts from ``control`` when given: a table optimal for
+    the input schedule, which that refresh only certifies.
     """
 
     def __init__(self, model: MarkovModel, cfg: PlannerConfig,
-                 intervals: np.ndarray):
+                 intervals: np.ndarray, control: np.ndarray | None = None):
         self.model = model
         self.cfg = cfg
+        self.control = control
         self.refresh(intervals)
 
     def refresh(self, intervals: np.ndarray) -> None:
         sigma = SchedulingFunction(intervals=intervals, t_max=self.cfg.t_max)
         self.taus = sigma.intervals
-        self.control = policy.best_control_for_sigma(self.model, sigma, self.cfg).control
+        self.control = policy.best_control_for_sigma(self.model, sigma, self.cfg,
+                                                     self.control).control
         self.pre = policy.segment_beliefs(self.model, self.control, self.cfg.t_max)
         self._select(*policy.segment_stats(self.model, self.cfg, self.pre, self.control),
                      self.taus)
@@ -204,49 +202,67 @@ class _ControlScorer(_PackingScorer):
 
 
 def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
-                      planner: PlannerConfig,
-                      target_entropy: float = 0.0) -> list[tuple[SchedulingFunction, float]]:
+                      planner: PlannerConfig, target_entropy: float = 0.0,
+                      control: np.ndarray | None = None
+                      ) -> list[tuple[SchedulingFunction, float]]:
     """Accepted packing deviations, in order, down to the target entropy.
 
     Each step applies the reward-best single-state deviation among those
     that strictly lower the schedule entropy; candidates are scanned in
-    ascending (state, interval) order and the first maximum is kept.
-    Returns [(schedule, entropy)] starting with the input schedule.
+    ascending (state, interval) order and the first maximum is kept.  A
+    candidate's entropy follows from the step's interval counts with one
+    count moved, so it depends only on the (old, new) interval pair.
+    ``control``, a control table optimal for ``sigma0`` such as the goal-
+    oriented one, lets the first control refresh certify it in one sweep
+    instead of searching; it never changes the result.  Returns
+    [(schedule, entropy)] starting with the input schedule.
     """
+    if target_entropy < 0:
+        raise ValueError("target entropy must be nonnegative")
+    if sigma0.t_max != planner.t_max:
+        raise ValueError(f"sigma t_max {sigma0.t_max} does not match "
+                         f"planner t_max {planner.t_max}")
     n = model.num_states
-    scorer_cls = _EstimationScorer if model.num_actions == 1 else _ControlScorer
-    scorer = scorer_cls(model, planner, sigma0.intervals)
+    if model.num_actions == 1:
+        scorer = _EstimationScorer(model, planner, sigma0.intervals)
+    else:
+        scorer = _ControlScorer(model, planner, sigma0.intervals, control)
     current = sigma0
     h = policy_entropy(current, n)
     steps = [(current, h)]
+    scored = evaluated = 0
     while h > target_entropy:
+        counts = np.bincount(current.intervals, minlength=planner.t_max + 1)
+        entropies: dict[tuple[int, int], float] = {}
         best = None
         for s_star in range(1, n + 1):
+            old = current(s_star)
             for tau in range(1, planner.t_max + 1):
-                if tau == current(s_star):
+                if tau == old:
                     continue
-                cand = single_state_deviation(current, s_star, tau)
-                h_cand = policy_entropy(cand, n)
+                h_cand = entropies.get((old, tau))
+                if h_cand is None:
+                    moved = counts.copy()
+                    moved[old] -= 1
+                    moved[tau] += 1
+                    h_cand = entropies[old, tau] = shannon_entropy(moved[1:] / n)
                 if h_cand >= h:
                     continue
                 score = scorer.score_deviation(s_star - 1, tau)
+                scored += 1
                 if best is None or score > best[0]:
-                    best = (score, cand, h_cand)
+                    best = (score, s_star, tau, h_cand)
+        evaluated += len(entropies)
         if best is None:
             break
-        _, current, h = best
+        _, s_star, tau, h = best
+        current = single_state_deviation(current, s_star, tau)
         scorer.refresh(current.intervals)
         steps.append((current, h))
+    log.debug("pde packing: %d steps accepted, %d candidates scored, "
+              "%d distinct entropy evaluations, final entropy %.6g",
+              len(steps) - 1, scored, evaluated, h)
     return steps
-
-
-def pack_pde(sigma0: SchedulingFunction, cfg: PdeConfig, model: MarkovModel,
-             planner: PlannerConfig) -> SchedulingFunction:
-    """Entropy-packed schedule: stop once entropy reaches the target."""
-    if policy_entropy(sigma0, model.num_states) <= cfg.target_entropy:
-        return sigma0
-    steps = pde_packing_steps(sigma0, model, planner, cfg.target_entropy)
-    return steps[-1][0]
 
 
 def weighted_performance(records, epsilon: float, D: int | None = None) -> float:

@@ -16,9 +16,9 @@ linear solve and lets policy iteration search the full plan space:
   spirit of Hauskrecht, JAIR 13, 2000), accepting only strict
   improvements.
 
-Ties are always resolved toward the smaller stopping time, then the
-lexicographically smaller action sequence, so outputs are reproducible
-bit for bit.
+Ties, values equal up to a rounding margin, are always resolved toward
+the smaller stopping time, then the lexicographically smaller action
+sequence, so outputs are reproducible bit for bit.
 
 For estimation tasks the action is a state guess that does not affect the
 dynamics; the per-step reward of the best guess is the largest belief
@@ -208,8 +208,9 @@ def _improve_control(model, cfg, v0, allowed):
     that finds no strict improvement certifies optimality against v0.
 
     Nodes at each depth are enumerated with earlier actions varying last
-    (parent-major), so taking the first maximum while scanning depths in
-    ascending order realizes the (smaller tau, smaller actions) rule.
+    (parent-major), so taking the first maximum, up to the margin, while
+    scanning depths in ascending order realizes the (smaller tau, smaller
+    actions) rule.
     Returns (taus, control, values, nodes expanded).
     """
     n, na = model.num_states, model.num_actions
@@ -249,8 +250,12 @@ def _improve_control(model, cfg, v0, allowed):
                 axis=1)
             vals = acc + cfg.gamma ** t * ends
             if allowed[s, t]:
-                i = int(np.argmax(vals))
-                if vals[i] > best_val:
+                # first plan within the margin of the best: a plan's rounding
+                # depends on its row in the batched product, so exact ties
+                # can differ by an ulp
+                top = vals.max()
+                i = int(np.argmax(vals >= top - margin))
+                if top > best_val + margin:
                     best_val = float(vals[i])
                     taus[s] = t
                     control[s, :t] = paths[i]
@@ -348,10 +353,31 @@ def solve_periodic(model: MarkovModel,
 
 
 def best_control_for_sigma(model: MarkovModel, sigma: SchedulingFunction,
-                           config: PlannerConfig) -> JointPolicy:
-    """Re-derive the control map for a fixed transmission schedule."""
+                           config: PlannerConfig,
+                           init_control: np.ndarray | None = None) -> JointPolicy:
+    """Re-derive the control map for a fixed transmission schedule.
+
+    Policy iteration starts from all-zero plans, or from ``init_control``
+    (shape (S, t_max)) with its entries from each state's interval on set
+    to zero; a row that no sweep strictly improves is returned as given.
+    Any start reaches an optimal table, but where plans tie, the one kept
+    can depend on the start: the result equals the cold solve tie for tie
+    when ``init_control`` is optimal for a neighbouring schedule, such as
+    the goal-oriented table or the previous packing step's table.
+    Estimation models ignore the table's values.
+    """
+    if sigma.t_max != config.t_max:
+        raise ValueError(f"sigma t_max {sigma.t_max} does not match "
+                         f"planner t_max {config.t_max}")
     allowed = np.arange(config.t_max + 1) == sigma.intervals[:, None]
-    taus, control, _ = _policy_iteration(model, config, allowed)
+    if init_control is not None:
+        init_control = np.asarray(init_control, dtype=np.int64)
+        if init_control.shape != (model.num_states, config.t_max):
+            raise ValueError(f"init_control has shape {init_control.shape}, "
+                             f"expected {(model.num_states, config.t_max)}")
+        init_control = np.where(np.arange(config.t_max) < sigma.intervals[:, None],
+                                init_control, 0)
+    taus, control, _ = _policy_iteration(model, config, allowed, init_control)
     return JointPolicy.from_intervals(taus, control, config.t_max)
 
 
@@ -372,7 +398,8 @@ def evaluate_policy_values(model: MarkovModel, sigma: SchedulingFunction,
     """Renewal values of (sigma, policy.control); estimation tables are
     read as the guesses made, not assumed to be MAP."""
     if sigma.t_max != config.t_max:
-        raise ValueError("sigma t_max does not match planner t_max")
+        raise ValueError(f"sigma t_max {sigma.t_max} does not match "
+                         f"planner t_max {config.t_max}")
     c, k = _plan_stats(model, config, policy.control)
     return _values(c, k, sigma.intervals)
 

@@ -180,7 +180,8 @@ class CellSolution:
     def pde_steps(self):
         if self._pde_steps is None:
             self._pde_steps = defenses.pde_packing_steps(
-                self.sigma_goc, self.model, self.planner, target_entropy=0.0)
+                self.sigma_goc, self.model, self.planner, target_entropy=0.0,
+                control=self.goc.control)
         return self._pde_steps
 
     def pde(self, fraction: float):
@@ -198,7 +199,8 @@ class CellSolution:
                 jp = policy.JointPolicy.from_intervals(
                     sigma_pde.intervals, self.goc.control, self.planner.t_max)
             else:
-                jp = policy.best_control_for_sigma(self.model, sigma_pde, self.planner)
+                jp = policy.best_control_for_sigma(self.model, sigma_pde, self.planner,
+                                                   init_control=self.goc.control)
             seg = SegmentModel.goal_oriented(self.model, sigma_pde, jp)
             self._pde_cache[key] = (sigma_pde, jp, seg)
         return self._pde_cache[key]

@@ -56,7 +56,8 @@ def grid_table():
                 v_pp = sl.evaluate_policy(model, sl.extract_sigma(pp), pp, planner)
                 h_mpi = sl.policy_entropy(sigma, 30)
                 steps = sl.pde_packing_steps(sigma, model, planner,
-                                             target_entropy=0.5 * h_mpi)
+                                             target_entropy=0.5 * h_mpi,
+                                             control=goc.control)
                 h_pde = steps[-1][1]
                 rows[(scenario.value, theta, beta)] = {
                     "v_goc": v_goc, "v_pp": v_pp,

@@ -1,10 +1,16 @@
+import dataclasses
+import logging
+import re
+
 import numpy as np
 import pytest
 
 import schedleak as sl
-from schedleak.defenses import DefenseMode, ade_decide
+from schedleak import policy
+from schedleak.defenses import DefenseMode, _ControlScorer, ade_decide
 from oracles import random_stochastic
 from test_markov import estimation_model, ring_matrix
+from test_policy import tie_rich_model
 
 
 def make_ade(mode=DefenseMode.GOC, l_low=0.4, l_high=0.6, period=4):
@@ -124,8 +130,8 @@ class TestPackPde:
         rng = np.random.default_rng(2)
         model = estimation_model(random_stochastic(rng, 1, 6)[0])
         sigma0 = sl.SchedulingFunction(np.full(6, 3), t_max=5)
-        cfg = sl.PdeConfig(target_entropy=0.0, t_max=5)
-        out = sl.pack_pde(sigma0, cfg, model, sl.PlannerConfig(beta=0.5, t_max=5))
+        out = sl.pde_packing_steps(sigma0, model, sl.PlannerConfig(beta=0.5, t_max=5),
+                                   target_entropy=0.0)[-1][0]
         assert np.array_equal(out.intervals, sigma0.intervals)
 
     def test_two_group_collapse_matches_exhaustive(self):
@@ -133,8 +139,7 @@ class TestPackPde:
         model = estimation_model(random_stochastic(rng, 1, 4)[0])
         planner = sl.PlannerConfig(beta=0.5, t_max=5)
         sigma0 = sl.SchedulingFunction(np.array([2, 2, 5, 5]), t_max=5)
-        out = sl.pack_pde(sigma0, sl.PdeConfig(target_entropy=0.0, t_max=5),
-                          model, planner)
+        out = sl.pde_packing_steps(sigma0, model, planner, target_entropy=0.0)[-1][0]
         assert sl.policy_entropy(out, 4) == 0.0
         scores = {}
         for const in (2, 5):
@@ -151,9 +156,8 @@ class TestPackPde:
 
     def test_halving_at_standard_cell(self, est_cell):
         h0 = sl.policy_entropy(est_cell.sigma_goc, 30)
-        cfg = sl.PdeConfig(target_entropy=0.5 * h0, t_max=10)
-        out = sl.pack_pde(est_cell.sigma_goc, cfg, est_cell.model,
-                          est_cell.planner)
+        out = sl.pde_packing_steps(est_cell.sigma_goc, est_cell.model, est_cell.planner,
+                                   target_entropy=0.5 * h0)[-1][0]
         assert sl.policy_entropy(out, 30) <= 0.5 * h0 + 1e-9
 
     def test_accepted_steps_are_reward_maximal(self):
@@ -181,10 +185,137 @@ class TestPackPde:
 
     def test_target_already_met_returns_input(self, est_cell):
         h0 = sl.policy_entropy(est_cell.sigma_goc, 30)
-        cfg = sl.PdeConfig(target_entropy=h0, t_max=10)
-        out = sl.pack_pde(est_cell.sigma_goc, cfg, est_cell.model,
-                          est_cell.planner)
+        out = sl.pde_packing_steps(est_cell.sigma_goc, est_cell.model, est_cell.planner,
+                                   target_entropy=h0)[-1][0]
         assert np.array_equal(out.intervals, est_cell.sigma_goc.intervals)
+
+    def test_negative_target_rejected(self, est_cell):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sl.pde_packing_steps(est_cell.sigma_goc, est_cell.model, est_cell.planner,
+                                 target_entropy=-0.1)
+
+    def test_t_max_mismatch_rejected(self):
+        rng = np.random.default_rng(2)
+        model = estimation_model(random_stochastic(rng, 1, 6)[0])
+        sigma0 = sl.SchedulingFunction(np.array([1, 2, 3, 6, 8, 10]), t_max=10)
+        with pytest.raises(ValueError, match=r"t_max 10 .* t_max 5"):
+            sl.pde_packing_steps(sigma0, model, sl.PlannerConfig(t_max=5))
+
+
+class _ColdScorer(_ControlScorer):
+    """The control scorer as it was before warm refreshes: every refresh
+    re-optimizes from all-zero plans."""
+
+    def refresh(self, intervals):
+        self.control = None
+        super().refresh(intervals)
+
+
+def cold_packing(sigma0, model, planner):
+    """Reference packing loop: a candidate schedule and ``policy_entropy``
+    per candidate, cold refreshes.  Returns (steps, refresh tables)."""
+    n = model.num_states
+    scorer = _ColdScorer(model, planner, sigma0.intervals)
+    tables = [scorer.control]
+    current, h = sigma0, sl.policy_entropy(sigma0, n)
+    steps = [(current, h)]
+    while h > 0.0:
+        best = None
+        for s_star in range(1, n + 1):
+            for tau in range(1, planner.t_max + 1):
+                if tau == current(s_star):
+                    continue
+                cand = sl.single_state_deviation(current, s_star, tau)
+                h_cand = sl.policy_entropy(cand, n)
+                if h_cand >= h:
+                    continue
+                score = scorer.score_deviation(s_star - 1, tau)
+                if best is None or score > best[0]:
+                    best = (score, cand, h_cand)
+        if best is None:
+            break
+        _, current, h = best
+        scorer.refresh(current.intervals)
+        tables.append(scorer.control)
+        steps.append((current, h))
+    return steps, tables
+
+
+class TestWarmPacking:
+    """Warm refreshes and the seeded first refresh change the work, never
+    the result: steps, entropies and every refresh's control table equal
+    those of cold refreshes, also where plans tie."""
+
+    @pytest.mark.parametrize("kind", ["duplicate", "identical", "sparse"])
+    def test_matches_cold_reference_on_tie_rich_models(self, kind, monkeypatch):
+        cold_solve = policy.best_control_for_sigma
+        tables = []
+
+        def recording(*args, **kwargs):
+            jp = cold_solve(*args, **kwargs)
+            tables.append(jp.control)
+            return jp
+
+        monkeypatch.setattr(policy, "best_control_for_sigma", recording)
+        packed_steps = 0
+        for seed in range(40):
+            model, cfg, rng = tie_rich_model(kind, seed)
+            goc = sl.solve_goc(model, cfg)
+            sigma_goc = sl.extract_sigma(goc)
+            assert np.array_equal(
+                cold_solve(model, sigma_goc, cfg, init_control=goc.control).control,
+                cold_solve(model, sigma_goc, cfg).control), seed
+            sigma_rand = sl.SchedulingFunction(rng.integers(1, cfg.t_max + 1, model.num_states),
+                                               t_max=cfg.t_max)
+            for sigma0, control in ((sigma_goc, goc.control),
+                                    (sigma_rand, cold_solve(model, sigma_rand, cfg).control)):
+                tables.clear()
+                steps = sl.pde_packing_steps(sigma0, model, cfg, control=control)
+                warm_tables = list(tables)
+                ref_steps, ref_tables = cold_packing(sigma0, model, cfg)
+                assert len(steps) == len(ref_steps), seed
+                for (sig, _), (ref_sig, _) in zip(steps, ref_steps):
+                    assert np.array_equal(sig.intervals, ref_sig.intervals), seed
+                assert np.array_equal([h for _, h in steps], [h for _, h in ref_steps]), seed
+                assert len(warm_tables) == len(ref_tables), seed
+                for table, ref_table in zip(warm_tables, ref_tables):
+                    assert np.array_equal(table, ref_table), seed
+                packed_steps += len(steps) - 1
+        assert packed_steps > 40
+
+    def test_standard_cell_packing_matches_cold_reference(self, ctl_cell):
+        """The standard control model at a short horizon, where its goal-
+        oriented schedule mixes two intervals."""
+        planner = dataclasses.replace(ctl_cell.planner, t_max=6)
+        goc = sl.solve_goc(ctl_cell.model, planner)
+        sigma_goc = sl.extract_sigma(goc)
+        steps = sl.pde_packing_steps(sigma_goc, ctl_cell.model, planner,
+                                     control=goc.control)
+        ref_steps, _ = cold_packing(sigma_goc, ctl_cell.model, planner)
+        assert len(steps) > 2
+        assert [s.intervals.tolist() for s, _ in steps] == \
+            [s.intervals.tolist() for s, _ in ref_steps]
+        assert np.array_equal([h for _, h in steps], [h for _, h in ref_steps])
+
+    def test_diagnostics_logged(self, caplog):
+        model, cfg, _ = tie_rich_model("sparse", 3)
+        sigma0 = sl.SchedulingFunction(np.array([1, 1, 2, 3, 4, 5]), t_max=cfg.t_max)
+        control = sl.best_control_for_sigma(model, sigma0, cfg).control
+        caplog.set_level(logging.DEBUG, logger="schedleak")
+        steps = sl.pde_packing_steps(sigma0, model, cfg, control=control)
+        lines = [r.getMessage() for r in caplog.records if r.name == "schedleak"]
+        # the seeded first refresh only certifies the table it is given
+        assert re.fullmatch(r"policy iteration: 1 sweeps, \d+ plan nodes expanded", lines[0])
+        packing = [line for line in lines if line.startswith("pde packing")]
+        assert len(packing) == 1
+        accepted, scored, evaluated, final = re.fullmatch(
+            r"pde packing: (\d+) steps accepted, (\d+) candidates scored, "
+            r"(\d+) distinct entropy evaluations, final entropy (\S+)",
+            packing[0]).groups()
+        assert int(accepted) == len(steps) - 1 > 0
+        assert 0 < int(evaluated) <= int(accepted) * cfg.t_max * (cfg.t_max - 1)
+        assert int(scored) >= int(accepted)
+        assert float(final) == pytest.approx(steps[-1][1], abs=1e-5)
 
 
 class TestWeightedPerformance:

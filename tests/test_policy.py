@@ -16,6 +16,22 @@ def control_model(trans, reward):
                           density_decay=1.0, task_reward=reward)
 
 
+def tie_rich_model(kind, seed, n=6, t_max=5):
+    """Seeded control model whose plans tie: a duplicated action, three
+    identical matrices, or sparse matrices; odd seeds draw integer rewards."""
+    rng = np.random.default_rng(seed)
+    reward = rng.integers(0, 3, n).astype(float) if seed % 2 else rng.random(n) * 5
+    if kind == "duplicate":
+        trans = random_stochastic(rng, 2, n)[[0, 1, 1]]
+    elif kind == "identical":
+        trans = np.repeat(random_stochastic(rng, 1, n), 3, axis=0)
+    else:
+        trans = random_stochastic(rng, 2, n, sparse=True)
+    cfg = sl.PlannerConfig(gamma=float(rng.uniform(0.6, 0.97)),
+                           beta=float(rng.uniform(0.05, 1.5)), t_max=t_max)
+    return control_model(trans, reward), cfg, rng
+
+
 def small_config(**kw):
     base = dict(gamma=0.95, beta=0.5, t_max=3)
     base.update(kw)
@@ -237,6 +253,50 @@ class TestBestControlForSigma:
         assert nodes < 0.1 * sweeps * n * sum(3 ** t for t in range(t_max))
         sigma = sl.SchedulingFunction(np.arange(n) % t_max + 1, t_max=t_max)
         assert not (sl.best_control_for_sigma(model, sigma, cfg).control == 2).any()
+
+    def test_duplicate_action_never_chosen_on_rounding_ties(self):
+        """A plan's value rounds differently with its row in the batched
+        product, so a tie between the two copies can differ by an ulp; the
+        rule must still keep action 1 (seeds 9, 38, 66 and 73 used to
+        return action 2 from the schedule-fixed search)."""
+        for seed in range(80):
+            model, cfg, rng = tie_rich_model("duplicate", seed)
+            goc = sl.solve_goc(model, cfg)
+            sigma = sl.SchedulingFunction(rng.integers(1, cfg.t_max + 1, model.num_states),
+                                          t_max=cfg.t_max)
+            for jp in (goc, sl.best_control_for_sigma(model, sl.extract_sigma(goc), cfg),
+                       sl.best_control_for_sigma(model, sigma, cfg)):
+                assert not (jp.control == 2).any(), seed
+
+    def test_t_max_mismatch_rejected(self):
+        rng = np.random.default_rng(5)
+        model = control_model(random_stochastic(rng, 2, 3), rng.random(3))
+        for intervals in ([8, 8, 8], [3, 3, 3]):
+            sigma = sl.SchedulingFunction(np.array(intervals), t_max=10)
+            with pytest.raises(ValueError, match=r"t_max 10 .* t_max 5"):
+                sl.best_control_for_sigma(model, sigma, small_config(t_max=5))
+
+    def test_init_control_shape_rejected(self):
+        rng = np.random.default_rng(5)
+        model = control_model(random_stochastic(rng, 2, 3), rng.random(3))
+        sigma = sl.SchedulingFunction(np.array([1, 2, 3]), t_max=3)
+        with pytest.raises(ValueError, match="init_control has shape"):
+            sl.best_control_for_sigma(model, sigma, small_config(),
+                                      init_control=np.zeros((3, 4), dtype=np.int64))
+
+    def test_warm_start_zeroes_entries_from_tau(self):
+        """Start-table entries at or after a state's interval are dropped, so
+        the result keeps the zero-from-tau layout and equals the cold solve."""
+        rng = np.random.default_rng(8)
+        model = control_model(random_stochastic(rng, 2, 4), rng.random(4) * 5)
+        cfg = small_config(t_max=4)
+        sigma = sl.SchedulingFunction(np.array([1, 2, 3, 4]), t_max=4)
+        beyond = np.arange(4)[None, :] >= sigma.intervals[:, None]
+        cold = sl.best_control_for_sigma(model, sigma, cfg)
+        warm = sl.best_control_for_sigma(model, sigma, cfg,
+                                         init_control=np.where(beyond, 1, cold.control))
+        assert np.array_equal(warm.control, cold.control)
+        assert (warm.control[beyond] == 0).all()
 
 
 class TestEvaluatePolicy:
