@@ -41,7 +41,7 @@ def main():
         for _ in range(tau):
             s = int(rng.choice(n, p=matrix[s]))
         est.observe(tau)
-        post = est.smoothed_at_transmission(k, est.times[-1])
+        post = est.belief_at_time(est.times[-1], 0)
         print(f"request {k}: interval was {tau} "
               f"(truth: state {renewal + 1} scheduled it, "
               f"the chain then landed on state {s + 1})")
@@ -52,8 +52,8 @@ def main():
 
     print("smoothed view of the whole past, given everything heard:")
     horizon = est.times[-1]
-    for m in range(horizon + 1):
-        bel = est.belief_at_time(horizon, horizon - m).belief
+    # window(h, h) holds the posteriors at h, h-1, ..., 0 from one pass
+    for m, bel in enumerate(reversed(est.window(horizon, horizon))):
         top = int(np.argmax(bel)) + 1
         print(f"   t={m:2d}: best guess state {top} "
               f"(confidence {bel.max():.2f})")

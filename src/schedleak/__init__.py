@@ -13,11 +13,10 @@ __version__ = "0.1.0"
 from .defenses import (AdeState, DefenseMode, ade_schedule, forecast_leakage,
                        pde_packing_steps, weighted_performance)
 from .eavesdropper import (EveEstimator, InconsistentTimingError, SegmentModel,
-                           SmoothedBelief, TimingTrace, min_leakage)
-from .markov import (ControlPlan, MarkovModel, NumericalError, Scenario,
-                     build_model, control_reward_vector, delta_belief,
-                     g_factor, propagate_belief, shannon_entropy, steady_state,
-                     uniform_belief)
+                           min_leakage)
+from .markov import (MarkovModel, NumericalError, Scenario, build_model,
+                     control_reward_vector, delta_belief, g_factor,
+                     shannon_entropy, steady_state, uniform_belief)
 from .policy import (JointPolicy, PlannerConfig, SchedulingFunction,
                      best_control_for_sigma, evaluate_policy,
                      evaluate_policy_values, extract_sigma,

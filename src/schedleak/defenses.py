@@ -219,9 +219,7 @@ def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
     """
     if target_entropy < 0:
         raise ValueError("target entropy must be nonnegative")
-    if sigma0.t_max != planner.t_max:
-        raise ValueError(f"sigma t_max {sigma0.t_max} does not match "
-                         f"planner t_max {planner.t_max}")
+    policy.check_schedule(model, sigma0, planner.t_max)
     n = model.num_states
     if model.num_actions == 1:
         scorer = _EstimationScorer(model, planner, sigma0.intervals)

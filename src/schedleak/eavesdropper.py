@@ -25,9 +25,7 @@ the public timing history, so this adds no power beyond worst case).
 from __future__ import annotations
 
 import bisect
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,34 +42,6 @@ class InconsistentTimingError(ValueError):
             f"active schedule: forward vector vanished")
         self.index = index
         self.tau = tau
-
-
-@dataclass(frozen=True)
-class TimingTrace:
-    """Observed inter-request intervals; request times start at 0."""
-
-    intervals: tuple[int, ...]
-
-    @property
-    def transmission_times(self) -> tuple[int, ...]:
-        times = [0]
-        for tau in self.intervals:
-            times.append(times[-1] + tau)
-        return tuple(times)
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.intervals))
-
-    @staticmethod
-    def from_json(text: str) -> "TimingTrace":
-        return TimingTrace(tuple(int(x) for x in json.loads(text)))
-
-
-@dataclass(frozen=True)
-class SmoothedBelief:
-    belief: np.ndarray
-    time: int
-    delay: int
 
 
 class SegmentModel:
@@ -263,28 +233,6 @@ class EveEstimator:
             self.backward_vectors += 1
         return tail[k_last - down_to::-1]
 
-    def smoothed_at_transmission(self, k: int, horizon: int) -> np.ndarray:
-        """Posterior of the state reported at transmission ``k``."""
-        if k > self.last_index(horizon):
-            raise ValueError(f"transmission {k} is after the horizon")
-        return self._at_request(k, self.backward(horizon, down_to=k)[0])
-
-    def belief_at_offset(self, k: int, ell: int, horizon: int) -> np.ndarray:
-        """Posterior ``ell`` steps after transmission ``k`` (interior point).
-
-        Exact pairwise join of the segment endpoints: weight each source
-        renewal state by forward mass and timing consistency, push it
-        ``ell`` steps in, and tie it to the next transmission through the
-        suffix operator applied to the backward vector.
-        """
-        k_last = self.last_index(horizon)
-        if k >= k_last:
-            return self._forward_only(k, ell)
-        tau = self.intervals[k]
-        if not 0 <= ell < tau:
-            raise ValueError(f"offset {ell} outside segment of length {tau}")
-        return self._interior(k, ell, self.backward(horizon, down_to=k + 1)[0])
-
     def _at_request(self, k: int, b_k: np.ndarray) -> np.ndarray:
         """Posterior at request ``k`` from its forward and backward vectors."""
         raw = self.forwards[k] * b_k
@@ -338,40 +286,36 @@ class EveEstimator:
                 yield self._interior(k, m - times[k], vecs[k + 1 - low])
             m -= 1
 
-    def belief_at_time(self, horizon: int, delay: int) -> SmoothedBelief:
+    def belief_at_time(self, horizon: int, delay: int) -> np.ndarray:
         """Posterior of the state at time ``horizon - delay``."""
         m = horizon - delay
         if m < 0:
             raise ValueError("horizon - delay must be nonnegative")
-        belief = next(self._beliefs(horizon, m, m))
-        return SmoothedBelief(belief=belief, time=horizon, delay=delay)
+        return next(self._beliefs(horizon, m, m))
+
+    def window(self, horizon: int, gap: int) -> list[np.ndarray]:
+        """Posteriors at ``horizon, horizon-1, ..., horizon-min(gap, horizon)``.
+
+        Element d is ``belief_at_time(horizon, d)``, made in one pass whose
+        cost is proportional to the requests inside the window.
+        """
+        if gap < 0:
+            raise ValueError("gap must be nonnegative")
+        return list(self._beliefs(horizon, horizon, horizon - min(gap, horizon)))
 
     # -- metrics ----------------------------------------------------------
 
     def leakage(self, horizon: int, gap: int) -> float:
-        """Best normalized certainty over the trailing opacity window.
+        """Best certainty over the trailing opacity window, floored at 0."""
+        return max(0.0, *map(certainty, self.window(horizon, gap)))
 
-        One pass over the instants ``horizon, horizon-1, ...,
-        horizon-min(gap, horizon)``; its cost is proportional to the
-        requests inside that window.
-        """
-        if gap < 0:
-            raise ValueError("gap must be nonnegative")
-        h0 = math.log2(self.num_states)
-        best = 0.0
-        for bel in self._beliefs(horizon, horizon, horizon - min(gap, horizon)):
-            best = max(best, 1.0 - shannon_entropy(bel) / h0)
-        return best
 
-    def accuracy(self, n: int, gap: int, true_state: int) -> int:
-        """1 if the delayed point estimate of s(n) is exact, else 0."""
-        bel = self.belief_at_time(n + gap, gap).belief
-        return int(int(np.argmax(bel)) + 1 == true_state)
+def certainty(belief: np.ndarray) -> float:
+    """Normalized certainty ``1 - H(b) / log2 S`` of a belief over S states."""
+    return 1.0 - shannon_entropy(belief) / math.log2(len(belief))
 
 
 def min_leakage(model: MarkovModel, mu: np.ndarray | None = None) -> float:
     """Leakage floor from knowing the long-run state distribution ``mu``
     (by default the stationary law of a single-action model)."""
-    if mu is None:
-        mu = steady_state(model)
-    return 1.0 - shannon_entropy(mu) / math.log2(model.num_states)
+    return certainty(steady_state(model) if mu is None else mu)

@@ -1,4 +1,4 @@
-"""Parametric ring Markov processes, belief propagation and entropy.
+"""Parametric ring Markov processes, stationary laws and entropy.
 
 States are labelled 1..num_states in the public API (matching the usual
 convention for ring chains); internally everything is a 0-indexed numpy
@@ -68,18 +68,6 @@ class MarkovModel:
         if self.num_actions != 1:
             raise ValueError("matrix is only defined for single-action models")
         return self.transitions[0]
-
-
-@dataclass(frozen=True)
-class ControlPlan:
-    """Open-loop action schedule between updates.
-
-    ``actions[s, d]`` is the action applied ``d`` steps after the last
-    update reported state ``s+1`` (0-indexed row for 1-indexed state).
-    Estimation models use the all-zeros plan (the only action).
-    """
-
-    actions: np.ndarray
 
 
 def _ring(idx: np.ndarray | int, num_states: int) -> np.ndarray | int:
@@ -156,40 +144,6 @@ def delta_belief(state: int, num_states: int) -> np.ndarray:
     """Point mass on a 1-indexed state."""
     b = np.zeros(num_states)
     b[state - 1] = 1.0
-    return b
-
-
-def check_belief(belief: np.ndarray, tol: float = ROW_SUM_TOL) -> np.ndarray:
-    b = np.asarray(belief, dtype=float)
-    if b.ndim != 1 or np.any(b < -tol) or abs(b.sum() - 1.0) > tol:
-        raise ValueError("not a probability vector")
-    return b
-
-
-def propagate_belief(model: MarkovModel, start: np.ndarray, plan: ControlPlan | None,
-                     steps: int, renewal_state: int | None = None,
-                     start_delta: int = 0) -> np.ndarray:
-    """Push a belief forward ``steps`` steps.
-
-    For control models the applied actions are read from ``plan`` at rows
-    ``renewal_state`` (1-indexed) starting at elapsed offset
-    ``start_delta``; between updates the decision-maker conditions on the
-    last reported state, not the true one, so the plan row is fixed for
-    the whole call.  Estimation models ignore the plan.
-    """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    b = check_belief(start)
-    if model.num_actions == 1:
-        m = model.transitions[0]
-        for _ in range(steps):
-            b = b @ m
-        return b
-    if plan is None or renewal_state is None:
-        raise ValueError("control models need a plan and a renewal state")
-    row = plan.actions[renewal_state - 1]
-    for t in range(steps):
-        b = b @ model.transitions[row[start_delta + t]]
     return b
 
 

@@ -123,6 +123,17 @@ def policy_entropy(sigma: SchedulingFunction, num_states: int) -> float:
     return shannon_entropy(counts / num_states)
 
 
+def check_schedule(model: MarkovModel, sigma: SchedulingFunction, t_max: int) -> None:
+    """Raise unless ``sigma`` has one interval per model state and the
+    ``t_max`` of the planner or policy it is used with."""
+    if len(sigma.intervals) != model.num_states:
+        raise ValueError(f"schedule has {len(sigma.intervals)} intervals, one per "
+                         f"state is needed (num_states={model.num_states})")
+    if sigma.t_max != t_max:
+        raise ValueError(f"sigma t_max {sigma.t_max} does not match "
+                         f"t_max {t_max} of the planner or policy")
+
+
 def single_state_deviation(sigma: SchedulingFunction, s_star: int,
                            tau: int) -> SchedulingFunction:
     """Copy of sigma with state ``s_star`` (1-indexed) remapped to ``tau``."""
@@ -366,9 +377,7 @@ def best_control_for_sigma(model: MarkovModel, sigma: SchedulingFunction,
     the goal-oriented table or the previous packing step's table.
     Estimation models ignore the table's values.
     """
-    if sigma.t_max != config.t_max:
-        raise ValueError(f"sigma t_max {sigma.t_max} does not match "
-                         f"planner t_max {config.t_max}")
+    check_schedule(model, sigma, config.t_max)
     allowed = np.arange(config.t_max + 1) == sigma.intervals[:, None]
     if init_control is not None:
         init_control = np.asarray(init_control, dtype=np.int64)
@@ -397,9 +406,7 @@ def evaluate_policy_values(model: MarkovModel, sigma: SchedulingFunction,
                            policy: JointPolicy, config: PlannerConfig) -> np.ndarray:
     """Renewal values of (sigma, policy.control); estimation tables are
     read as the guesses made, not assumed to be MAP."""
-    if sigma.t_max != config.t_max:
-        raise ValueError(f"sigma t_max {sigma.t_max} does not match "
-                         f"planner t_max {config.t_max}")
+    check_schedule(model, sigma, config.t_max)
     c, k = _plan_stats(model, config, policy.control)
     return _values(c, k, sigma.intervals)
 
@@ -413,6 +420,7 @@ def occupancy_distribution(model: MarkovModel, sigma: SchedulingFunction,
     time-average of the within-segment beliefs weighted by nu and segment
     lengths.
     """
+    check_schedule(model, sigma, policy.t_max)
     n = model.num_states
     taus = sigma.intervals
     pre = segment_beliefs(model, policy.control, sigma.t_max)

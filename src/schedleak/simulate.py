@@ -171,12 +171,6 @@ class CellSolution:
         self._pde_cache: dict[float, tuple] = {}
         self._occupancy: dict = {}
 
-    def goc_value(self) -> float:
-        return policy.evaluate_policy(self.model, self.sigma_goc, self.goc, self.planner)
-
-    def pp_value(self) -> float:
-        return policy.evaluate_policy(self.model, self.sigma_pp, self.pp_policy, self.planner)
-
     def pde_steps(self):
         if self._pde_steps is None:
             self._pde_steps = defenses.pde_packing_steps(
@@ -261,6 +255,7 @@ def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
     transmits = np.zeros(n_steps, dtype=np.int64)
     task_rewards = np.zeros(n_steps)
     leakages = np.zeros(n_steps)
+    guesses = np.zeros(n_steps, dtype=np.int64)   # listener's MAP state, 0-indexed
     modes: list[str] = [""] * n_steps
 
     def draw(cdf_row) -> int:
@@ -294,19 +289,21 @@ def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
             task_rewards[n] = 1.0 if a == s + 1 else 0.0
         else:
             task_rewards[n] = model.task_reward[s]
-        leakages[n] = est.leakage(n, gap)
+        # the window at n holds the leakage at n and the delayed guess of s(n-gap)
+        window = est.window(n, gap)
+        leakages[n] = max(0.0, *map(eavesdropper.certainty, window))
+        if n >= gap:
+            guesses[n - gap] = np.argmax(window[gap])
         modes[n] = modes_label
         matrix_index = 0 if model.num_actions == 1 else a
         s = draw(sol.cdf[matrix_index, s])
 
     comm_rewards = -cfg.beta * transmits.astype(float)
-    eve_hits = np.zeros(n_steps, dtype=np.int64)
-    truncated = np.zeros(n_steps, dtype=bool)
-    for n in range(n_steps):
-        horizon = min(n + gap, n_steps - 1)
-        truncated[n] = n + gap > n_steps - 1
-        bel = est.belief_at_time(horizon, horizon - n).belief
-        eve_hits[n] = int(int(np.argmax(bel)) + 1 == states[n])
+    # guesses the episode end cuts short are made at its last step
+    for d, bel in enumerate(window[:gap]):
+        guesses[n_steps - 1 - d] = np.argmax(bel)
+    truncated = np.arange(n_steps) + gap > n_steps - 1
+    eve_hits = (guesses + 1 == states).astype(np.int64)
     log.debug("listener: %s episode, %d steps, %d requests observed, "
               "%d backward vectors, trace log-likelihood %.6g, "
               "smallest forward normaliser %.3g", kind.value, n_steps,

@@ -6,12 +6,15 @@ by timing consistency; the policy oracle enumerates complete joint
 policies (or every action sequence under a fixed schedule) and
 evaluates each by linear solve; the return oracle is a seeded Monte-Carlo
 rollout; the occupancy oracle solves for the stationary law of the
-explicit (last reported state, elapsed time, true state) chain.
+explicit (last reported state, elapsed time, true state) chain; the
+propagation oracle pushes a belief forward one step at a time under an
+open-loop control plan.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,3 +209,49 @@ def renewal_occupancy(transitions: np.ndarray, intervals: np.ndarray,
     for (_, _, x), i in index.items():
         occupancy[x] += pi[i]
     return occupancy
+
+
+@dataclass(frozen=True)
+class ControlPlan:
+    """Open-loop action schedule between updates.
+
+    ``actions[s, d]`` is the action applied ``d`` steps after the last
+    update reported state ``s+1`` (0-indexed row for 1-indexed state).
+    Estimation models use the all-zeros plan (the only action).
+    """
+
+    actions: np.ndarray
+
+
+def check_belief(belief: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    b = np.asarray(belief, dtype=float)
+    if b.ndim != 1 or np.any(b < -tol) or abs(b.sum() - 1.0) > tol:
+        raise ValueError("not a probability vector")
+    return b
+
+
+def propagate_belief(model, start: np.ndarray, plan: ControlPlan | None,
+                     steps: int, renewal_state: int | None = None,
+                     start_delta: int = 0) -> np.ndarray:
+    """Push a belief forward ``steps`` steps.
+
+    For control models the applied actions are read from ``plan`` at rows
+    ``renewal_state`` (1-indexed) starting at elapsed offset
+    ``start_delta``; between updates the decision-maker conditions on the
+    last reported state, not the true one, so the plan row is fixed for
+    the whole call.  Estimation models ignore the plan.
+    """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    b = check_belief(start)
+    if model.num_actions == 1:
+        m = model.transitions[0]
+        for _ in range(steps):
+            b = b @ m
+        return b
+    if plan is None or renewal_state is None:
+        raise ValueError("control models need a plan and a renewal state")
+    row = plan.actions[renewal_state - 1]
+    for t in range(steps):
+        b = b @ model.transitions[row[start_delta + t]]
+    return b

@@ -109,7 +109,7 @@ def test_criterion_1_oracle_equivalence():
         want = enum_posteriors(trans, prior, [(t, taus, plan) for t in intervals],
                                (taus, plan), horizon)
         for m in range(horizon + 1):
-            got = est.belief_at_time(horizon, horizon - m).belief
+            got = est.belief_at_time(horizon, horizon - m)
             worst = max(worst, float(np.abs(want[m] - got).sum()))
         instances += 1
     report(1, "oracle equivalence", worst < 1e-9,

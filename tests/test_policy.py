@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import schedleak as sl
-from oracles import (brute_force_best, brute_force_for_schedule, evaluate_joint,
-                     monte_carlo_return, random_stochastic, renewal_occupancy)
+from oracles import (ControlPlan, brute_force_best, brute_force_for_schedule,
+                     evaluate_joint, monte_carlo_return, propagate_belief,
+                     random_stochastic, renewal_occupancy)
 from test_markov import estimation_model, ring_matrix
 
 
@@ -184,8 +185,9 @@ class TestSolvePeriodic:
         assert period == 1
 
     def test_goc_dominates(self, est_cell):
-        vg = est_cell.goc_value()
-        vp = est_cell.pp_value()
+        m, cfg = est_cell.model, est_cell.planner
+        vg = sl.evaluate_policy(m, est_cell.sigma_goc, est_cell.goc, cfg)
+        vp = sl.evaluate_policy(m, est_cell.sigma_pp, est_cell.pp_policy, cfg)
         assert vg >= vp - 2e-9
 
     def test_brute_force_restricted(self):
@@ -364,11 +366,11 @@ class TestSegmentBeliefs:
         control = rng.integers(0, model.num_actions, size=(12, 6))
         pre = sl.segment_beliefs(model, control, 6)
         assert pre.shape == (12, 7, 12)
-        plan = sl.ControlPlan(control)
+        plan = ControlPlan(control)
         for s in range(1, 13):
             for t in range(7):
-                want = sl.propagate_belief(model, sl.delta_belief(s, 12), plan, t,
-                                           renewal_state=s)
+                want = propagate_belief(model, sl.delta_belief(s, 12), plan, t,
+                                        renewal_state=s)
                 assert np.abs(pre[s - 1, t] - want).max() < 1e-14
 
     def test_stats_match_evaluation(self):
@@ -417,6 +419,27 @@ class TestOccupancyDistribution:
         jp = sl.JointPolicy.from_intervals(taus, control, t_max)
         occ = sl.occupancy_distribution(model, sigma, jp)
         assert np.abs(occ - renewal_occupancy(trans, taus, control)).max() < 1e-10
+
+
+class TestScheduleCheck:
+    @pytest.mark.parametrize("scenario", list(sl.Scenario))
+    @pytest.mark.parametrize("call", ["best_control_for_sigma", "evaluate_policy_values",
+                                      "pde_packing_steps", "occupancy_distribution"])
+    @pytest.mark.parametrize("intervals, t_max, pattern", [
+        ([1, 2, 3, 4, 2], 4, r"schedule has 5 intervals.*num_states=6"),
+        ([1, 2, 3, 4, 2, 1], 5, r"sigma t_max 5 .* t_max 4")], ids=["length", "t_max"])
+    def test_mismatched_schedule_rejected(self, scenario, call, intervals, t_max, pattern):
+        model = sl.build_model(8.0, 6, scenario)
+        cfg = small_config(t_max=4)
+        sigma = sl.SchedulingFunction(np.array(intervals), t_max=t_max)
+        jp = sl.JointPolicy.from_intervals(np.array([1, 2, 3, 4, 2, 1]),
+                                           np.ones((6, 4), dtype=np.int64), 4)
+        args = {"best_control_for_sigma": (model, sigma, cfg),
+                "evaluate_policy_values": (model, sigma, jp, cfg),
+                "pde_packing_steps": (sigma, model, cfg),
+                "occupancy_distribution": (model, sigma, jp)}[call]
+        with pytest.raises(ValueError, match=pattern):
+            getattr(sl, call)(*args)
 
 
 class TestSerialization:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import logging
+import math
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import schedleak as sl
 from conftest import standard_config
-from schedleak import markov, policy
+from schedleak import markov, policy, simulate
 
 
 class TestEpisode:
@@ -120,6 +121,43 @@ class TestEpisode:
                   for line in self.listener_lines(caplog)]
         assert len(counts) == 2
         assert counts[1] <= 5 * counts[0], counts
+
+    @pytest.mark.parametrize("scenario", list(sl.Scenario))
+    @pytest.mark.parametrize("kind", list(sl.PolicyKind))
+    def test_one_window_per_step_matches_reference(self, scenario, kind, request,
+                                                   monkeypatch):
+        """Leakages and delayed guesses read from each step's window equal
+        the pointwise maximum and a second pass over the finished trace."""
+        listeners = []
+
+        class Recorded(sl.EveEstimator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                listeners.append(self)
+
+        monkeypatch.setattr(simulate, "EveEstimator", Recorded)
+        sol = request.getfixturevalue(
+            "est_cell" if scenario is sl.Scenario.ESTIMATION else "ctl_cell")
+        h0 = math.log2(sol.model.num_states)
+        for gap in (0, 2, 5):
+            for n_steps in (1, 3, 40):
+                cfg = standard_config(scenario=scenario, policy_kind=kind, d_gap=gap,
+                                      n_steps=n_steps, seed=24)
+                rec, _ = sl.run_episode(cfg, sol)
+                est = listeners[-1]
+                leaks, hits, truncated = [], [], []
+                for n in range(n_steps):
+                    leaks.append(max([0.0] + [
+                        1.0 - sl.shannon_entropy(est.belief_at_time(n, d)) / h0
+                        for d in range(min(gap, n) + 1)]))
+                    horizon = min(n + gap, n_steps - 1)
+                    bel = est.belief_at_time(horizon, horizon - n)
+                    hits.append(int(int(np.argmax(bel)) + 1 == rec.states[n]))
+                    truncated.append(n + gap > n_steps - 1)
+                case = (gap, n_steps)
+                assert np.array_equal(rec.leakages, leaks), case
+                assert np.array_equal(rec.eve_hits, hits), case
+                assert np.array_equal(rec.eve_hit_truncated, truncated), case
 
     def test_csv_fixed_columns(self, est_cell):
         rec, _ = sl.run_episode(standard_config(n_steps=20, seed=11), est_cell)
