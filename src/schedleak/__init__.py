@@ -16,7 +16,8 @@ from .eavesdropper import (EveEstimator, InconsistentTimingError, SegmentModel,
                            min_leakage)
 from .markov import (MarkovModel, NumericalError, Scenario, build_model,
                      control_reward_vector, delta_belief, g_factor,
-                     shannon_entropy, steady_state, uniform_belief)
+                     shannon_entropy, stationary_law, steady_state,
+                     uniform_belief)
 from .policy import (JointPolicy, PlannerConfig, SchedulingFunction,
                      best_control_for_sigma, evaluate_policy,
                      evaluate_policy_values, extract_sigma,

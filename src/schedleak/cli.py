@@ -112,6 +112,13 @@ def _scenario(cfg: dict) -> Scenario:
 def _base_episode_config(cfg: dict, theta: float, beta: float, d_gap: int,
                          seed: int, kind: PolicyKind) -> EpisodeConfig:
     try:
+        # planner.value_tolerance is accepted and checked but read by nothing:
+        # policy iteration's fixed improvement margin, 1e-11, gives the result
+        # of every value at or above it
+        tolerance = float(cfg["planner"]["value_tolerance"])
+        if not tolerance >= 1e-11:
+            raise ValueError("planner.value_tolerance must be at least 1e-11, the "
+                             f"improvement margin of policy iteration; got {tolerance!r}")
         return EpisodeConfig(
             scenario=_scenario(cfg),
             theta=float(theta),
@@ -127,7 +134,6 @@ def _base_episode_config(cfg: dict, theta: float, beta: float, d_gap: int,
             l_high=float(cfg["defense"]["l_high"]),
             target_entropy_fraction=float(cfg["defense"]["target_entropy_fraction"]),
             epsilon=float(cfg["simulation"]["epsilon"]),
-            value_tolerance=float(cfg["planner"]["value_tolerance"]),
             forecast_mode=str(cfg["defense"]["forecast_mode"]),
         )
     except ValueError as exc:
@@ -244,11 +250,14 @@ def cmd_pareto(cfg: dict, out_dir: Path, seed: int, workers: int) -> int:
                                 PolicyKind.MPI)
     log.info("frontier for theta=%g, beta=%g (the first of the grid)",
              base.theta, base.beta)
-    rows = simulate.pareto_sweep(
-        base,
-        ade_lows=cfg["defense"]["ade_l_low_grid"],
-        pde_fractions=cfg["defense"]["pde_fraction_grid"],
-        n_episodes=int(cfg["simulation"]["n_episodes"]))
+    try:  # pareto_sweep checks every grid point before it solves the cell
+        rows = simulate.pareto_sweep(
+            base,
+            ade_lows=cfg["defense"]["ade_l_low_grid"],
+            pde_fractions=cfg["defense"]["pde_fraction_grid"],
+            n_episodes=int(cfg["simulation"]["n_episodes"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     artifacts = {}
     artifacts["frontier.csv"] = _write(out_dir / "frontier.csv",
                                        simulate.rows_to_csv(rows))

@@ -28,7 +28,7 @@ class Scenario(Enum):
 
 
 class NumericalError(RuntimeError):
-    """An iterative routine failed to converge within its cap."""
+    """Policy iteration exceeded its sweep cap (``PlannerConfig.max_sweeps``)."""
 
 
 @dataclass(frozen=True)
@@ -147,41 +147,39 @@ def delta_belief(state: int, num_states: int) -> np.ndarray:
     return b
 
 
-def steady_state(model: MarkovModel, tol: float = 1e-12,
-                 max_iter: int = 1_000_000) -> np.ndarray:
-    """Stationary distribution of a single-action model by power iteration.
+def steady_state(model: MarkovModel) -> np.ndarray:
+    """Long-run state law of a single-action model (see ``stationary_law``).
 
-    The uniform starting point doubles as the canonical fixed point for
-    reducible inputs (e.g. the identity chain), where every distribution
-    is stationary and iteration simply stays put.  Control models have no
-    plan-free chain; their closed-loop occupancy under a renewal policy
-    is ``policy.occupancy_distribution``.
+    On an ergodic chain this is the unique stationary distribution; on a
+    periodic or reducible one it is the time-averaged law of the chain
+    started uniformly, so the identity chain gives the uniform law.
+    Control models have no plan-free chain; their closed-loop occupancy
+    under a renewal policy is ``policy.occupancy_distribution``.
     """
     if model.num_actions != 1:
         raise ValueError("steady_state needs a single-action model; use "
                          "policy.occupancy_distribution for control models")
-    return power_iteration(model.transitions[0], tol, max_iter, "steady state")
+    return stationary_law(model.transitions[0])
 
 
-def power_iteration(matrix: np.ndarray, tol: float, max_iter: int,
-                    what: str) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix by power iteration.
+def stationary_law(matrix: np.ndarray) -> np.ndarray:
+    """Long-run average law of a row-stochastic chain started uniformly.
 
-    Iterates from the uniform distribution until one step moves less than
-    ``tol`` in L1; ``what`` names the chain in the error raised otherwise.
+    The Cesaro limit mu = u Pi of the uniform law u, where Pi is the limit
+    of (I + P + ... + P^(N-1)) / N: stationary (mu P = mu) on every chain,
+    periodic and reducible ones included, and the stationary distribution
+    itself on an ergodic chain.  It is the unique mu with mu (I - P) = 0
+    and u - mu = y (I - P) for some y (Stewart 1994, *Introduction to the
+    Numerical Solution of Markov Chains*), found by one least-squares solve
+    for (mu, y); y need not be unique, mu is, and it sums to 1 because
+    every row of I - P sums to 0.  Rounding negatives are clipped to 0.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    mu = uniform_belief(matrix.shape[0])
-    for _ in range(max_iter):
-        nxt = mu @ matrix
-        change = np.abs(nxt - mu).sum()
-        if change < tol:
-            return nxt / nxt.sum()
-        mu = nxt
-    raise NumericalError(
-        f"{what} did not converge within {max_iter} iterations "
-        f"(last L1 change {change:.3e})")
+    n = matrix.shape[0]
+    a = np.eye(n) - np.asarray(matrix, dtype=float).T
+    system = np.block([[a, np.zeros((n, n))], [np.eye(n), a]])
+    rhs = np.concatenate([np.zeros(n), uniform_belief(n)])
+    mu = np.maximum(np.linalg.lstsq(system, rhs, rcond=None)[0][:n], 0.0)
+    return mu / mu.sum()
 
 
 def shannon_entropy(belief: np.ndarray) -> float:

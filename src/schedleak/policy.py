@@ -36,17 +36,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import (MarkovModel, NumericalError, delta_belief,
-                     power_iteration, shannon_entropy)
+                     shannon_entropy, stationary_law)
 
 log = logging.getLogger("schedleak")
 
 
+# policy iteration accepts a plan only if it beats the current value by more
+# than this; a smaller margin lets rounding noise cycle improvements
+_IMPROVEMENT_MARGIN = 1e-11
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
+    """Planner parameters.
+
+    Policy iteration that exceeds ``max_sweeps`` sweeps raises
+    ``NumericalError``.
+    """
+
     gamma: float = 0.95
     beta: float = 1.0
     t_max: int = 10
-    value_tolerance: float = 1e-9
     max_sweeps: int = 100_000
 
     def __post_init__(self):
@@ -296,7 +306,6 @@ def _policy_iteration(model, cfg, allowed, init_control=None):
     Returns (taus, control, values).
     """
     n = model.num_states
-    eps = min(1e-11, cfg.value_tolerance)
     taus = np.argmax(allowed, axis=1)
     if model.num_actions == 1:
         pre = segment_beliefs(model, None, cfg.t_max)
@@ -316,7 +325,7 @@ def _policy_iteration(model, cfg, allowed, init_control=None):
         else:
             cand_taus, cand_control, best, nodes = _improve_control(model, cfg, v0, allowed)
             expanded += nodes
-        accept = best > v0 + eps
+        accept = best > v0 + _IMPROVEMENT_MARGIN
         if not accept.any():
             log.debug("policy iteration: %d sweeps, %d plan nodes expanded",
                       sweep, expanded)
@@ -412,20 +421,18 @@ def evaluate_policy_values(model: MarkovModel, sigma: SchedulingFunction,
 
 
 def occupancy_distribution(model: MarkovModel, sigma: SchedulingFunction,
-                           policy: JointPolicy, tol: float = 1e-12,
-                           max_iter: int = 1_000_000) -> np.ndarray:
+                           policy: JointPolicy) -> np.ndarray:
     """Long-run distribution of the true state under a renewal policy.
 
-    Stationary distribution nu of the renewal-state chain, then the
-    time-average of the within-segment beliefs weighted by nu and segment
-    lengths.
+    The long-run law nu of the renewal-state chain (``markov.stationary_law``,
+    exact on periodic and reducible chains too), then the time-average of
+    the within-segment beliefs weighted by nu and segment lengths.
     """
     check_schedule(model, sigma, policy.t_max)
     n = model.num_states
     taus = sigma.intervals
     pre = segment_beliefs(model, policy.control, sigma.t_max)
-    nu = power_iteration(pre[np.arange(n), taus], tol, max_iter,
-                         "renewal-chain stationary distribution")
+    nu = stationary_law(pre[np.arange(n), taus])
     occupancy = np.zeros(n)
     for s in range(n):
         occupancy += nu[s] * pre[s, :taus[s]].sum(axis=0)

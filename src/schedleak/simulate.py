@@ -57,7 +57,6 @@ class EpisodeConfig:
     l_high: float = 0.6
     target_entropy_fraction: float = 0.5
     epsilon: float = 0.0
-    value_tolerance: float = 1e-9
     forecast_mode: str = "interval_max"
 
     def __post_init__(self):
@@ -67,11 +66,17 @@ class EpisodeConfig:
             raise ValueError("d_gap must be nonnegative")
         if self.forecast_mode not in ("instant", "interval_max"):
             raise ValueError(f"unknown forecast mode {self.forecast_mode!r}")
+        if not self.l_low < self.l_high:
+            raise ValueError(f"need l_low < l_high, got {self.l_low!r} and {self.l_high!r}")
+        if not self.epsilon >= 0:
+            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon!r}")
+        if not 0 <= self.target_entropy_fraction <= 1:
+            raise ValueError("target_entropy_fraction must be in [0, 1], got "
+                             f"{self.target_entropy_fraction!r}")
         self.planner()  # validate planner parameters eagerly
 
     def planner(self) -> PlannerConfig:
-        return PlannerConfig(gamma=self.gamma, beta=self.beta, t_max=self.t_max,
-                             value_tolerance=self.value_tolerance)
+        return PlannerConfig(gamma=self.gamma, beta=self.beta, t_max=self.t_max)
 
 
 @dataclass
@@ -407,13 +412,20 @@ def pareto_sweep(base: EpisodeConfig, ade_lows, pde_fractions,
 
     ADE points vary the lower threshold with a fixed 0.2 hysteresis band;
     packing points vary the target entropy as a fraction of the
-    goal-oriented schedule entropy.
+    goal-oriented schedule entropy.  Every point's configuration is built
+    first, so one outside the domain raises ``ValueError`` before the cell
+    is solved.
     """
+    points = [(PolicyKind.MPI, None, {}), (PolicyKind.PP, None, {})]
+    points += [(PolicyKind.ADE, low, dict(l_low=low, l_high=low + 0.2))
+               for low in map(float, ade_lows)]
+    points += [(PolicyKind.PDE, frac, dict(target_entropy_fraction=frac))
+               for frac in map(float, pde_fractions)]
+    configs = [dataclasses.replace(base, policy_kind=kind, **overrides)
+               for kind, _, overrides in points]
     sol = solution if solution is not None else CellSolution(base)
     rows = []
-
-    def add(kind: PolicyKind, param: float | None, **overrides):
-        cfg = dataclasses.replace(base, policy_kind=kind, **overrides)
+    for (kind, param, _), cfg in zip(points, configs):
         row = {"defense": kind.value, "param": param}
         try:
             batch = run_batch(cfg, n_episodes, sol)
@@ -421,13 +433,6 @@ def pareto_sweep(base: EpisodeConfig, ade_lows, pde_fractions,
         except Exception as exc:  # noqa: BLE001
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
-
-    add(PolicyKind.MPI, None)
-    add(PolicyKind.PP, None)
-    for low in ade_lows:
-        add(PolicyKind.ADE, float(low), l_low=float(low), l_high=float(low) + 0.2)
-    for frac in pde_fractions:
-        add(PolicyKind.PDE, float(frac), target_entropy_fraction=float(frac))
     return rows
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import schedleak as sl
-from schedleak import cli
+from schedleak import cli, simulate
 
 
 def write_config(path: Path, **sections) -> str:
@@ -47,10 +47,29 @@ class TestConfig:
                        "--out", str(tmp_path)])
         assert rc == 2
 
-    def test_bad_parameter_value(self, tmp_path):
-        cfg = write_config(tmp_path, planner={"gamma": 1.5})
-        rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("command, sections", [
+        ("solve", {"planner": {"gamma": 1.5}}),
+        ("solve", {"planner": {"value_tolerance": 0.0}}),
+        ("solve", {"planner": {"value_tolerance": 1e-15}}),
+        ("simulate", {"planner": {"value_tolerance": -1e-9}}),
+        ("simulate", {"defense": {"l_low": 0.6, "l_high": 0.4},
+                      "simulation": {"trace": True}}),
+        ("simulate", {"simulation": {"epsilon": -0.5, "trace": True}}),
+        ("simulate", {"defense": {"target_entropy_fraction": 1.7}}),
+        ("pareto", {"defense": {"pde_fraction_grid": [0.5, 1.7]}}),
+        ("pareto", {"defense": {"pde_fraction_grid": [-0.25]}}),
+        ("pareto", {"defense": {"ade_l_low_grid": [0.2, "low"]}}),
+    ], ids=["gamma", "value_tolerance=0", "value_tolerance=1e-15",
+            "value_tolerance<0", "l_low>l_high", "epsilon<0", "fraction>1",
+            "pde_grid>1", "pde_grid<0", "ade_grid"])
+    def test_bad_parameter_value(self, tmp_path, capsys, monkeypatch, command, sections):
+        def forbidden(cfg):
+            raise AssertionError("cell solved before the config was checked")
+        monkeypatch.setattr(simulate, "CellSolution", forbidden)
+        cfg = write_config(tmp_path, **sections)
+        rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

@@ -420,6 +420,26 @@ class TestOccupancyDistribution:
         occ = sl.occupancy_distribution(model, sigma, jp)
         assert np.abs(occ - renewal_occupancy(trans, taus, control)).max() < 1e-10
 
+    @pytest.mark.parametrize("trial", range(3))
+    def test_periodic_renewal_chain_matches_explicit_chain(self, trial):
+        # every transition and every (odd) interval crosses between the
+        # sides {1, 2} and {3, 4, 5}, so the renewal chain has period 2 and
+        # the uniform start, unequal on the two sides, never settles
+        rng = np.random.default_rng(70 + trial)
+        n, na, t_max = 5, 2, 3
+        trans = random_stochastic(rng, na, n)
+        trans[:, :2, :2] = trans[:, 2:, 2:] = 0
+        trans /= trans.sum(axis=2, keepdims=True)
+        model = control_model(trans, rng.random(n))
+        taus = rng.choice([1, 3], size=n)
+        control = rng.integers(0, na, size=(n, t_max))
+        renewal = sl.segment_beliefs(model, control, t_max)[np.arange(n), taus]
+        assert not renewal[:2, :2].any() and not renewal[2:, 2:].any()
+        sigma = sl.SchedulingFunction(taus, t_max=t_max)
+        jp = sl.JointPolicy.from_intervals(taus, control, t_max)
+        occ = sl.occupancy_distribution(model, sigma, jp)
+        assert np.abs(occ - renewal_occupancy(trans, taus, control)).max() < 1e-10
+
 
 class TestScheduleCheck:
     @pytest.mark.parametrize("scenario", list(sl.Scenario))

@@ -170,6 +170,27 @@ class TestEpisode:
         assert rows[1][0] == "0" and rows[1][3] == "1"
 
 
+class TestEpisodeConfig:
+    @pytest.mark.parametrize("field, pattern", [
+        (dict(l_low=0.6, l_high=0.4), "need l_low < l_high"),
+        (dict(l_low=0.5, l_high=0.5), "need l_low < l_high"),
+        (dict(epsilon=-0.1), "epsilon must be nonnegative"),
+        (dict(target_entropy_fraction=1.7), r"target_entropy_fraction must be in \[0, 1\]"),
+        (dict(target_entropy_fraction=-0.2), r"target_entropy_fraction must be in \[0, 1\]"),
+    ], ids=["l_low>l_high", "l_low=l_high", "epsilon", "fraction>1", "fraction<0"])
+    def test_defense_fields_rejected(self, field, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            standard_config(**field)
+
+    def test_pareto_grid_checked_before_solving(self, monkeypatch):
+        def forbidden(cfg):
+            raise AssertionError("cell solved before the grid was checked")
+        monkeypatch.setattr(simulate, "CellSolution", forbidden)
+        with pytest.raises(ValueError, match="target_entropy_fraction"):
+            sl.pareto_sweep(standard_config(), ade_lows=[0.3], pde_fractions=[0.5, 1.7],
+                            n_episodes=1)
+
+
 class TestBatch:
     def test_single_episode_batch_matches(self, est_cell):
         cfg = standard_config(n_steps=60, seed=12)
@@ -287,3 +308,22 @@ class TestPareto:
         text = sl.rows_to_csv(rows)
         back = list(csv.DictReader(io.StringIO(text)))
         assert back[0]["a"] == "1" and back[1]["c"] == "x"
+
+
+class TestDomainSweep:
+    """A seeded slice of the model domain that ``build_model`` accepts: every
+    cell solves and runs every policy kind, including the period-3 chain at
+    five states and the nearly periodic chains at theta=1e8."""
+
+    @pytest.mark.parametrize("scenario", list(sl.Scenario), ids=lambda s: s.value)
+    @pytest.mark.parametrize("theta", [1e-3, 1e8])
+    @pytest.mark.parametrize("num_states", [5, 7, 12])
+    def test_cell_solves_and_simulates_every_kind(self, num_states, theta, scenario):
+        base = sl.EpisodeConfig(scenario=scenario, theta=theta, num_states=num_states,
+                                t_max=4, n_steps=40, d_gap=2, seed=31)
+        rows = sl.sweep(base, [theta], [1.0], [2], list(sl.PolicyKind), 1)
+        assert [r["policy"] for r in rows] == ["MPI", "PP", "ADE", "PDE"]
+        for row in rows:
+            assert "error" not in row, row["error"]
+            assert 0 <= row["min_leakage"] <= 1
+            assert 0 <= row["mean_leakage"] <= 1
