@@ -151,12 +151,11 @@ def _policy_cache_key(cfg: dict, theta: float, beta: float, kind: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _solve_cell(cfg: dict, theta: float, beta: float) -> dict[str, str]:
+def _solve_cell(payload: tuple[EpisodeConfig, float]) -> dict[str, str]:
     """Serialize every policy kind for one grid cell; returns name->JSON."""
-    ep = _base_episode_config(cfg, theta, beta, _as_list(cfg["simulation"]["d_gap"])[0],
-                              cfg["simulation"]["seed"], PolicyKind.MPI)
+    ep, fraction = payload
     sol = simulate.CellSolution(ep)
-    _, jp_pde, _ = sol.pde(cfg["defense"]["target_entropy_fraction"])
+    _, jp_pde, _ = sol.pde(fraction)
     return {
         "MPI": policy.policy_to_json(sol.goc),
         "PP": policy.policy_to_json(sol.pp_policy),
@@ -184,17 +183,16 @@ def _manifest(out_dir: Path, cfg: dict, seed: int, artifacts: dict[str, str]) ->
         json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _solve_cell_task(payload):
-    cfg, theta, beta = payload
-    return _solve_cell(cfg, theta, beta)
-
-
 def cmd_solve(cfg: dict, out_dir: Path, seed: int, workers: int) -> int:
     thetas = _as_list(cfg["model"]["theta"])
     betas = _as_list(cfg["planner"]["beta"])
     cells = [(t, b) for t in thetas for b in betas]
+    d_gap = _as_list(cfg["simulation"]["d_gap"])[0]
+    # every cell's config is checked before any cell is solved
+    payloads = [(_base_episode_config(cfg, t, b, d_gap, seed, PolicyKind.MPI),
+                 cfg["defense"]["target_entropy_fraction"]) for t, b in cells]
     artifacts = {}
-    results = _map_cells(_solve_cell_task, [(cfg, t, b) for t, b in cells], workers)
+    results = _map_cells(_solve_cell, payloads, workers)
     for (theta, beta), payload in zip(cells, results):
         for kind, text in payload.items():
             name = (f"policy_{kind}_theta{theta:g}_beta{beta:g}_"
@@ -206,9 +204,8 @@ def cmd_solve(cfg: dict, out_dir: Path, seed: int, workers: int) -> int:
 
 
 def _simulate_cell_task(payload):
-    base, theta, beta, d_gaps, kind_names, n_episodes = payload
+    local, theta, beta, d_gaps, kind_names, n_episodes = payload
     kinds = [PolicyKind(k) for k in kind_names]
-    local = dataclasses.replace(base, theta=float(theta), beta=float(beta))
     return simulate.sweep(local, [theta], [beta], d_gaps, kinds, n_episodes)
 
 
@@ -218,10 +215,10 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed: int, workers: int) -> int:
     d_gaps = [int(d) for d in _as_list(cfg["simulation"]["d_gap"])]
     kind_names = [PolicyKind(k).value for k in cfg["simulation"]["policies"]]
     n_episodes = int(cfg["simulation"]["n_episodes"])
-    base = _base_episode_config(cfg, thetas[0], betas[0], d_gaps[0], seed,
-                                PolicyKind(kind_names[0]))
-    payloads = [(base, t, b, d_gaps, kind_names, n_episodes)
-                for t in thetas for b in betas]
+    # every cell's config is checked before any cell is solved
+    payloads = [(_base_episode_config(cfg, t, b, d_gaps[0], seed, PolicyKind(kind_names[0])),
+                 t, b, d_gaps, kind_names, n_episodes) for t in thetas for b in betas]
+    base = payloads[0][0]
     rows = [row for chunk in _map_cells(_simulate_cell_task, payloads, workers)
             for row in chunk]
     artifacts = {}

@@ -116,89 +116,31 @@ def ade_schedule(s: int, ade: AdeState, sigma: SchedulingFunction,
 # ---------------------------------------------------------------------------
 
 
-class _PackingScorer:
-    """Scores a single-state deviation by swapping that state's row of the
-    incumbent evaluation system (I - K) v = c and solving it again."""
+def _deviation_table(model: MarkovModel, cfg: PlannerConfig,
+                     sigma: SchedulingFunction | None = None,
+                     jp: policy.JointPolicy | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Segment reward ``c[s, tau]`` and renewal row ``K[s, tau]`` of every
+    single-state deviation, from ``policy.segment_stats``.
 
-    def _select(self, c_tab: np.ndarray, k_tab: np.ndarray,
-                intervals: np.ndarray) -> None:
-        idx = np.arange(len(intervals))
-        self._c, self._k = c_tab[idx, intervals], k_tab[idx, intervals]
-
-    def _swap_and_solve(self, s_idx: int, c_row: float, k_row: np.ndarray) -> float:
-        c = self._c.copy()
-        k = self._k.copy()
-        c[s_idx] = c_row
-        k[s_idx] = k_row
-        v0 = np.linalg.solve(np.eye(len(c)) - k, c)
-        return float(v0.mean())
-
-
-class _EstimationScorer(_PackingScorer):
-    """Exact candidate evaluation for guess tasks.
-
-    MAP-guess segment rewards and renewal kernels are tabulated once for
-    every stopping time, so scoring a single-state deviation is one row
-    swap plus a linear solve.
+    Without ``jp`` (estimation models) this is the MAP table.  With ``jp``
+    optimal for ``sigma``, a deviation keeps the incumbent plan, truncated
+    or extended greedily toward the stop values of ``jp``; a greedy step
+    depends only on the plan before it, so each plan is extended to
+    ``t_max`` once and shorter extensions are its prefixes.
     """
-
-    def __init__(self, model: MarkovModel, cfg: PlannerConfig,
-                 intervals: np.ndarray):
-        pre = policy.segment_beliefs(model, None, cfg.t_max)
-        self.c_tab, self.k_tab = policy.segment_stats(model, cfg, pre, None)
-        self.refresh(intervals)
-
-    def refresh(self, intervals: np.ndarray) -> None:
-        self._select(self.c_tab, self.k_tab, intervals)
-
-    def score_deviation(self, s_idx: int, tau: int) -> float:
-        return self._swap_and_solve(s_idx, self.c_tab[s_idx, tau],
-                                    self.k_tab[s_idx, tau])
-
-
-class _ControlScorer(_PackingScorer):
-    """Candidate evaluation with the control plan adapted to the schedule.
-
-    Scanning hundreds of candidates per packing step makes a full control
-    re-optimization per candidate impractical; candidates are scored with
-    the incumbent plans, adapting only the deviated state's plan (prefix
-    truncation, or a greedy stop-value extension) and swapping that one
-    row of the evaluation system.  After a deviation is accepted the
-    control maps are re-optimized exactly for the new schedule, warm from
-    the table optimal for the previous one, which differs in one state;
-    so a refresh runs few sweeps and prunes most of the plan tree.  The
-    first refresh starts from ``control`` when given: a table optimal for
-    the input schedule, which that refresh only certifies.
-    """
-
-    def __init__(self, model: MarkovModel, cfg: PlannerConfig,
-                 intervals: np.ndarray, control: np.ndarray | None = None):
-        self.model = model
-        self.cfg = cfg
-        self.control = control
-        self.refresh(intervals)
-
-    def refresh(self, intervals: np.ndarray) -> None:
-        sigma = SchedulingFunction(intervals=intervals, t_max=self.cfg.t_max)
-        self.taus = sigma.intervals
-        self.control = policy.best_control_for_sigma(self.model, sigma, self.cfg,
-                                                     self.control).control
-        self.pre = policy.segment_beliefs(self.model, self.control, self.cfg.t_max)
-        self._select(*policy.segment_stats(self.model, self.cfg, self.pre, self.control),
-                     self.taus)
-        self.v0 = np.linalg.solve(np.eye(len(self.taus)) - self._k, self._c)
-
-    def score_deviation(self, s_idx: int, tau: int) -> float:
-        actions = self.control[s_idx].copy()
-        beliefs = self.pre[s_idx].copy()
-        stop_vec = -self.cfg.beta + self.v0
-        for t in range(self.taus[s_idx], tau):
-            scores = [float((beliefs[t] @ m) @ stop_vec) for m in self.model.transitions]
-            actions[t] = int(np.argmax(scores))
-            beliefs[t + 1] = beliefs[t] @ self.model.transitions[actions[t]]
-        c, k = policy.segment_stats(self.model, self.cfg, beliefs[None, :tau + 1],
-                                    actions[None, :tau])
-        return self._swap_and_solve(s_idx, c[0, tau], k[0, tau])
+    if jp is None:
+        return policy.segment_stats(model, cfg, policy.segment_beliefs(model, None, cfg.t_max),
+                                    None)
+    stop_vec = -cfg.beta + policy.evaluate_policy_values(model, sigma, jp, cfg)
+    beliefs = policy.segment_beliefs(model, jp.control, cfg.t_max)
+    actions = jp.control.copy()
+    for s, tau in enumerate(sigma.intervals):
+        for t in range(tau, cfg.t_max):
+            scores = [float((beliefs[s, t] @ m) @ stop_vec) for m in model.transitions]
+            actions[s, t] = int(np.argmax(scores))
+            beliefs[s, t + 1] = beliefs[s, t] @ model.transitions[actions[s, t]]
+    return policy.segment_stats(model, cfg, beliefs, actions)
 
 
 def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
@@ -208,54 +150,59 @@ def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
     """Accepted packing deviations, in order, down to the target entropy.
 
     Each step applies the reward-best single-state deviation among those
-    that strictly lower the schedule entropy; candidates are scanned in
+    that strictly lower the schedule entropy; candidates are taken in
     ascending (state, interval) order and the first maximum is kept.  A
     candidate's entropy follows from the step's interval counts with one
-    count moved, so it depends only on the (old, new) interval pair.
-    ``control``, a control table optimal for ``sigma0`` such as the goal-
-    oriented one, lets the first control refresh certify it in one sweep
-    instead of searching; it never changes the result.  Returns
-    [(schedule, entropy)] starting with the input schedule.
+    count moved, so it depends only on the (old, new) interval pair.  A
+    candidate's score is the mean renewal value of the evaluation system
+    (I - K) v = c with that state's row swapped; all of a step's systems
+    are solved in one stacked call.  Control models re-optimize the plans
+    of each scanned schedule, warm from the previous scan's table;
+    ``control``, a table optimal for ``sigma0`` such as the goal-oriented
+    one, lets the first refresh certify it in one sweep instead of
+    searching; it never changes the result.  Returns [(schedule, entropy)]
+    starting with the input schedule.
     """
     if target_entropy < 0:
         raise ValueError("target entropy must be nonnegative")
     policy.check_schedule(model, sigma0, planner.t_max)
-    n = model.num_states
+    n, t_max = model.num_states, planner.t_max
     if model.num_actions == 1:
-        scorer = _EstimationScorer(model, planner, sigma0.intervals)
-    else:
-        scorer = _ControlScorer(model, planner, sigma0.intervals, control)
+        c_tab, k_tab = _deviation_table(model, planner)
     current = sigma0
     h = policy_entropy(current, n)
     steps = [(current, h)]
     scored = evaluated = 0
     while h > target_entropy:
-        counts = np.bincount(current.intervals, minlength=planner.t_max + 1)
-        entropies: dict[tuple[int, int], float] = {}
-        best = None
-        for s_star in range(1, n + 1):
-            old = current(s_star)
-            for tau in range(1, planner.t_max + 1):
-                if tau == old:
-                    continue
-                h_cand = entropies.get((old, tau))
-                if h_cand is None:
+        taus = current.intervals
+        if model.num_actions > 1:
+            jp = policy.best_control_for_sigma(model, current, planner, control)
+            control = jp.control
+            c_tab, k_tab = _deviation_table(model, planner, current, jp)
+        counts = np.bincount(taus, minlength=t_max + 1)
+        moves = np.full((t_max + 1, t_max + 1), np.inf)   # entropy after old -> tau
+        for old in np.flatnonzero(counts):
+            for tau in range(1, t_max + 1):
+                if tau != old:
                     moved = counts.copy()
                     moved[old] -= 1
                     moved[tau] += 1
-                    h_cand = entropies[old, tau] = shannon_entropy(moved[1:] / n)
-                if h_cand >= h:
-                    continue
-                score = scorer.score_deviation(s_star - 1, tau)
-                scored += 1
-                if best is None or score > best[0]:
-                    best = (score, s_star, tau, h_cand)
-        evaluated += len(entropies)
-        if best is None:
+                    moves[old, tau] = shannon_entropy(moved[1:] / n)
+                    evaluated += 1
+        cand_s, cand_tau = np.nonzero(moves[taus] < h)
+        if len(cand_s) == 0:
             break
-        _, s_star, tau, h = best
-        current = single_state_deviation(current, s_star, tau)
-        scorer.refresh(current.intervals)
+        scored += len(cand_s)
+        idx, rows = np.arange(n), np.arange(len(cand_s))
+        a = np.repeat((np.eye(n) - k_tab[idx, taus])[None], len(cand_s), axis=0)
+        b = np.repeat(c_tab[idx, taus][None], len(cand_s), axis=0)
+        a[rows, cand_s] = np.eye(n)[cand_s] - k_tab[cand_s, cand_tau]
+        b[rows, cand_s] = c_tab[cand_s, cand_tau]
+        scores = np.linalg.solve(a, b[..., None])[..., 0].mean(axis=1)
+        best = int(np.argmax(scores))
+        s_star, tau = int(cand_s[best]), int(cand_tau[best])
+        h = float(moves[taus[s_star], tau])
+        current = single_state_deviation(current, s_star + 1, tau)
         steps.append((current, h))
     log.debug("pde packing: %d steps accepted, %d candidates scored, "
               "%d distinct entropy evaluations, final entropy %.6g",

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .markov import MarkovModel, shannon_entropy, steady_state
-from .policy import JointPolicy, SchedulingFunction, segment_beliefs
+from .policy import segment_beliefs
 
 
 class InconsistentTimingError(ValueError):
@@ -80,19 +80,6 @@ class SegmentModel:
                     acc = model.transitions[int(control[s, t])] @ acc
                     suf[s, t] = acc
             self._suf = suf
-
-    @classmethod
-    def goal_oriented(cls, model: MarkovModel, sigma: SchedulingFunction,
-                      policy: JointPolicy | None = None) -> "SegmentModel":
-        control = policy.control if policy is not None else None
-        return cls(model, sigma.intervals, control, sigma.t_max)
-
-    @classmethod
-    def periodic(cls, model: MarkovModel, period: int, t_max: int,
-                 policy: JointPolicy | None = None) -> "SegmentModel":
-        taus = np.full(model.num_states, period, dtype=np.int64)
-        control = policy.control if policy is not None else None
-        return cls(model, taus, control, t_max)
 
     def emission(self, tau: int) -> np.ndarray:
         """Indicator over renewal states that emit an interval of ``tau``."""

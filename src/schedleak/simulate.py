@@ -60,6 +60,10 @@ class EpisodeConfig:
     forecast_mode: str = "interval_max"
 
     def __post_init__(self):
+        if self.num_states < 5:
+            raise ValueError(f"num_states must be at least 5, got {self.num_states!r}")
+        if not self.theta > 0:
+            raise ValueError(f"theta must be positive, got {self.theta!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if self.d_gap < 0:
@@ -169,9 +173,10 @@ class CellSolution:
         self.sigma_goc = policy.extract_sigma(self.goc)
         self.pp_period, self.pp_policy = policy.solve_periodic(self.model, self.planner)
         self.sigma_pp = policy.extract_sigma(self.pp_policy)
-        self.seg_goc = SegmentModel.goal_oriented(self.model, self.sigma_goc, self.goc)
-        self.seg_pp = SegmentModel.periodic(self.model, self.pp_period,
-                                            self.planner.t_max, self.pp_policy)
+        t_max = self.planner.t_max
+        self.seg_goc = SegmentModel(self.model, self.sigma_goc.intervals, self.goc.control, t_max)
+        self.seg_pp = SegmentModel(self.model, self.sigma_pp.intervals, self.pp_policy.control,
+                                   t_max)
         self._pde_steps = None
         self._pde_cache: dict[float, tuple] = {}
         self._occupancy: dict = {}
@@ -200,7 +205,7 @@ class CellSolution:
             else:
                 jp = policy.best_control_for_sigma(self.model, sigma_pde, self.planner,
                                                    init_control=self.goc.control)
-            seg = SegmentModel.goal_oriented(self.model, sigma_pde, jp)
+            seg = SegmentModel(self.model, sigma_pde.intervals, jp.control, self.planner.t_max)
             self._pde_cache[key] = (sigma_pde, jp, seg)
         return self._pde_cache[key]
 

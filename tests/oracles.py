@@ -8,7 +8,9 @@ evaluates each by linear solve; the return oracle is a seeded Monte-Carlo
 rollout; the occupancy oracle solves for the stationary law of the
 explicit (last reported state, elapsed time, true state) chain; the
 propagation oracle pushes a belief forward one step at a time under an
-open-loop control plan.
+open-loop control plan.  The packing reference is the exception: it scans
+candidates one at a time on the package's own segment tables and
+planner, and pins down the batched scan of ``pde_packing_steps``.
 """
 
 from __future__ import annotations
@@ -255,3 +257,65 @@ def propagate_belief(model, start: np.ndarray, plan: ControlPlan | None,
     for t in range(steps):
         b = b @ model.transitions[row[start_delta + t]]
     return b
+
+
+def reference_packing_steps(sigma0, model, planner, target_entropy: float = 0.0):
+    """Packing scan one candidate at a time, with cold control refreshes.
+
+    Each step re-optimizes the control plans from all-zero plans for the
+    current schedule, then gives every candidate deviation its own
+    schedule, ``policy_entropy``, plan (the incumbent's, truncated or
+    extended greedily toward the incumbent's stop values) and linear solve
+    of the evaluation system with that state's row swapped; the first
+    maximum in (state, interval) order wins.  Returns (steps, the control
+    tables the scan scored with).
+    """
+    from schedleak import policy
+
+    n, t_max = model.num_states, planner.t_max
+    current, h = sigma0, policy.policy_entropy(sigma0, n)
+    steps, tables = [(current, h)], []
+    if model.num_actions == 1:
+        pre = policy.segment_beliefs(model, None, t_max)
+        c_tab, k_tab = policy.segment_stats(model, planner, pre, None)
+    while h > target_entropy:
+        taus = current.intervals
+        if model.num_actions > 1:
+            control = policy.best_control_for_sigma(model, current, planner).control
+            tables.append(control)
+            pre = policy.segment_beliefs(model, control, t_max)
+            c_tab, k_tab = policy.segment_stats(model, planner, pre, control)
+        idx = np.arange(n)
+        c_inc, k_inc = c_tab[idx, taus], k_tab[idx, taus]
+        stop_vec = -planner.beta + np.linalg.solve(np.eye(n) - k_inc, c_inc)
+        best = None
+        for s in range(n):
+            for tau in range(1, t_max + 1):
+                if tau == taus[s]:
+                    continue
+                cand = policy.single_state_deviation(current, s + 1, tau)
+                h_cand = policy.policy_entropy(cand, n)
+                if h_cand >= h:
+                    continue
+                if model.num_actions == 1:
+                    c_row, k_row = c_tab[s, tau], k_tab[s, tau]
+                else:
+                    actions, beliefs = control[s].copy(), pre[s].copy()
+                    for t in range(taus[s], tau):
+                        scores = [float((beliefs[t] @ m) @ stop_vec)
+                                  for m in model.transitions]
+                        actions[t] = int(np.argmax(scores))
+                        beliefs[t + 1] = beliefs[t] @ model.transitions[actions[t]]
+                    c, k = policy.segment_stats(model, planner, beliefs[None, :tau + 1],
+                                                actions[None, :tau])
+                    c_row, k_row = c[0, tau], k[0, tau]
+                c, k = c_inc.copy(), k_inc.copy()
+                c[s], k[s] = c_row, k_row
+                score = float(np.linalg.solve(np.eye(n) - k, c).mean())
+                if best is None or score > best[0]:
+                    best = (score, cand, h_cand)
+        if best is None:
+            break
+        _, current, h = best
+        steps.append((current, h))
+    return steps, tables

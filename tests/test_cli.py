@@ -59,9 +59,16 @@ class TestConfig:
         ("pareto", {"defense": {"pde_fraction_grid": [0.5, 1.7]}}),
         ("pareto", {"defense": {"pde_fraction_grid": [-0.25]}}),
         ("pareto", {"defense": {"ade_l_low_grid": [0.2, "low"]}}),
+        ("solve", {"model": {"num_states": 4}}),
+        ("solve", {"model": {"theta": [8, 0]}}),
+        ("simulate", {"model": {"num_states": 4}}),
+        ("simulate", {"model": {"theta": [8, 0]}}),
+        ("simulate", {"planner": {"beta": [1.0, -1.0]}}),
     ], ids=["gamma", "value_tolerance=0", "value_tolerance=1e-15",
             "value_tolerance<0", "l_low>l_high", "epsilon<0", "fraction>1",
-            "pde_grid>1", "pde_grid<0", "ade_grid"])
+            "pde_grid>1", "pde_grid<0", "ade_grid", "solve-num_states=4",
+            "solve-theta=0", "simulate-num_states=4", "simulate-theta=0",
+            "simulate-beta<0"])
     def test_bad_parameter_value(self, tmp_path, capsys, monkeypatch, command, sections):
         def forbidden(cfg):
             raise AssertionError("cell solved before the config was checked")

@@ -7,8 +7,8 @@ import pytest
 
 import schedleak as sl
 from schedleak import policy
-from schedleak.defenses import DefenseMode, _ControlScorer, ade_decide
-from oracles import random_stochastic
+from schedleak.defenses import DefenseMode, ade_decide
+from oracles import random_stochastic, reference_packing_steps
 from test_markov import estimation_model, ring_matrix
 from test_policy import tie_rich_model
 
@@ -160,28 +160,29 @@ class TestPackPde:
                                    target_entropy=0.5 * h0)[-1][0]
         assert sl.policy_entropy(out, 30) <= 0.5 * h0 + 1e-9
 
-    def test_accepted_steps_are_reward_maximal(self):
-        """Replay the scan at each recorded step and confirm the argmax."""
-        from schedleak.defenses import _EstimationScorer
-        rng = np.random.default_rng(6)
-        model = estimation_model(random_stochastic(rng, 1, 5)[0])
-        planner = sl.PlannerConfig(beta=0.6, t_max=4)
-        sigma0 = sl.SchedulingFunction(rng.integers(1, 5, size=5), t_max=4)
+    @pytest.mark.parametrize("kind, seed", [
+        ("estimation", 6), ("estimation", 7), ("estimation", 8), ("estimation", 9),
+        ("estimation", 10), ("uniform", 0), ("uniform", 1), ("duplicate", 5)])
+    def test_accepted_steps_are_reward_maximal(self, kind, seed):
+        """Every accepted step is the first reward maximum of a scan that
+        scores one candidate at a time.  Under a uniform transition matrix
+        the states are exchangeable, so scores tie exactly and the scan
+        order decides."""
+        rng = np.random.default_rng(seed)
+        if kind in ("estimation", "uniform"):
+            trans = random_stochastic(rng, 1, 5)[0] if kind == "estimation" else np.full((5, 5), 0.2)
+            model = estimation_model(trans)
+            planner = sl.PlannerConfig(beta=0.6, t_max=4)
+        else:
+            model, planner, rng = tie_rich_model(kind, seed)
+        sigma0 = sl.SchedulingFunction(rng.integers(1, planner.t_max + 1, model.num_states),
+                                       t_max=planner.t_max)
         steps = sl.pde_packing_steps(sigma0, model, planner, target_entropy=0.0)
-        for (sig, h), (nxt, h_next) in zip(steps, steps[1:]):
-            scorer = _EstimationScorer(model, planner, sig.intervals)
-            best = None
-            for s_star in range(1, 6):
-                for tau in range(1, 5):
-                    if tau == sig(s_star):
-                        continue
-                    cand = sl.single_state_deviation(sig, s_star, tau)
-                    if sl.policy_entropy(cand, 5) >= h:
-                        continue
-                    score = scorer.score_deviation(s_star - 1, tau)
-                    if best is None or score > best[0]:
-                        best = (score, cand.intervals)
-            assert np.array_equal(nxt.intervals, best[1])
+        ref_steps, _ = reference_packing_steps(sigma0, model, planner)
+        assert len(steps) == len(ref_steps) > 1
+        assert np.array_equal([s.intervals for s, _ in steps],
+                              [s.intervals for s, _ in ref_steps])
+        assert np.array_equal([h for _, h in steps], [h for _, h in ref_steps])
 
     def test_target_already_met_returns_input(self, est_cell):
         h0 = sl.policy_entropy(est_cell.sigma_goc, 30)
@@ -202,49 +203,11 @@ class TestPackPde:
             sl.pde_packing_steps(sigma0, model, sl.PlannerConfig(t_max=5))
 
 
-class _ColdScorer(_ControlScorer):
-    """The control scorer as it was before warm refreshes: every refresh
-    re-optimizes from all-zero plans."""
-
-    def refresh(self, intervals):
-        self.control = None
-        super().refresh(intervals)
-
-
-def cold_packing(sigma0, model, planner):
-    """Reference packing loop: a candidate schedule and ``policy_entropy``
-    per candidate, cold refreshes.  Returns (steps, refresh tables)."""
-    n = model.num_states
-    scorer = _ColdScorer(model, planner, sigma0.intervals)
-    tables = [scorer.control]
-    current, h = sigma0, sl.policy_entropy(sigma0, n)
-    steps = [(current, h)]
-    while h > 0.0:
-        best = None
-        for s_star in range(1, n + 1):
-            for tau in range(1, planner.t_max + 1):
-                if tau == current(s_star):
-                    continue
-                cand = sl.single_state_deviation(current, s_star, tau)
-                h_cand = sl.policy_entropy(cand, n)
-                if h_cand >= h:
-                    continue
-                score = scorer.score_deviation(s_star - 1, tau)
-                if best is None or score > best[0]:
-                    best = (score, cand, h_cand)
-        if best is None:
-            break
-        _, current, h = best
-        scorer.refresh(current.intervals)
-        tables.append(scorer.control)
-        steps.append((current, h))
-    return steps, tables
-
-
 class TestWarmPacking:
-    """Warm refreshes and the seeded first refresh change the work, never
-    the result: steps, entropies and every refresh's control table equal
-    those of cold refreshes, also where plans tie."""
+    """Warm refreshes, the seeded first refresh and the stacked scan change
+    the work, never the result: steps, entropies and every refresh's
+    control table equal those of the one-candidate-at-a-time reference with
+    cold refreshes, also where plans tie."""
 
     @pytest.mark.parametrize("kind", ["duplicate", "identical", "sparse"])
     def test_matches_cold_reference_on_tie_rich_models(self, kind, monkeypatch):
@@ -272,7 +235,7 @@ class TestWarmPacking:
                 tables.clear()
                 steps = sl.pde_packing_steps(sigma0, model, cfg, control=control)
                 warm_tables = list(tables)
-                ref_steps, ref_tables = cold_packing(sigma0, model, cfg)
+                ref_steps, ref_tables = reference_packing_steps(sigma0, model, cfg)
                 assert len(steps) == len(ref_steps), seed
                 for (sig, _), (ref_sig, _) in zip(steps, ref_steps):
                     assert np.array_equal(sig.intervals, ref_sig.intervals), seed
@@ -291,7 +254,7 @@ class TestWarmPacking:
         sigma_goc = sl.extract_sigma(goc)
         steps = sl.pde_packing_steps(sigma_goc, ctl_cell.model, planner,
                                      control=goc.control)
-        ref_steps, _ = cold_packing(sigma_goc, ctl_cell.model, planner)
+        ref_steps, _ = reference_packing_steps(sigma_goc, ctl_cell.model, planner)
         assert len(steps) > 2
         assert [s.intervals.tolist() for s, _ in steps] == \
             [s.intervals.tolist() for s, _ in ref_steps]

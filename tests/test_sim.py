@@ -177,7 +177,11 @@ class TestEpisodeConfig:
         (dict(epsilon=-0.1), "epsilon must be nonnegative"),
         (dict(target_entropy_fraction=1.7), r"target_entropy_fraction must be in \[0, 1\]"),
         (dict(target_entropy_fraction=-0.2), r"target_entropy_fraction must be in \[0, 1\]"),
-    ], ids=["l_low>l_high", "l_low=l_high", "epsilon", "fraction>1", "fraction<0"])
+        (dict(num_states=4), "num_states must be at least 5"),
+        (dict(theta=0.0), "theta must be positive"),
+        (dict(theta=float("nan")), "theta must be positive"),
+    ], ids=["l_low>l_high", "l_low=l_high", "epsilon", "fraction>1", "fraction<0",
+            "num_states<5", "theta=0", "theta=nan"])
     def test_defense_fields_rejected(self, field, pattern):
         with pytest.raises(ValueError, match=pattern):
             standard_config(**field)
