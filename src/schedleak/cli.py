@@ -44,16 +44,6 @@ class ConfigError(ValueError):
     pass
 
 
-_SECTIONS = {
-    "model": {"scenario", "num_states", "theta"},
-    "planner": {"gamma", "beta", "t_max", "value_tolerance"},
-    "defense": {"l_low", "l_high", "target_entropy_fraction",
-                "ade_l_low_grid", "pde_fraction_grid", "forecast_mode"},
-    "simulation": {"n_steps", "n_episodes", "d_gap", "policies", "epsilon",
-                   "trace", "seed"},
-    "output": {"dir", "prefix"},
-}
-
 _DEFAULTS = {
     "model": {"scenario": "estimation", "num_states": 30, "theta": 32.0},
     "planner": {"gamma": 0.95, "beta": 1.0, "t_max": 10, "value_tolerance": 1e-9},
@@ -84,7 +74,7 @@ def load_config(path: str) -> dict:
         body = raw.pop(section, {})
         if not isinstance(body, dict):
             raise ConfigError(f"{path}: section {section!r} must be an object")
-        unknown = set(body) - _SECTIONS[section]
+        unknown = set(body) - set(defaults)
         if unknown:
             raise ConfigError(
                 f"{path}: unknown key(s) in {section!r}: {sorted(unknown)}")
@@ -119,6 +109,12 @@ def _base_episode_config(cfg: dict, theta: float, beta: float, d_gap: int,
         if not tolerance >= 1e-11:
             raise ValueError("planner.value_tolerance must be at least 1e-11, the "
                              f"improvement margin of policy iteration; got {tolerance!r}")
+        # defense.forecast_mode is accepted with its one value and read by nothing:
+        # the defense always forecasts the peak over the hypothetical segment
+        forecast = cfg["defense"]["forecast_mode"]
+        if forecast != "interval_max":
+            raise ValueError('defense.forecast_mode must be "interval_max", the one '
+                             f"forecast the defense makes; got {forecast!r}")
         return EpisodeConfig(
             scenario=_scenario(cfg),
             theta=float(theta),
@@ -134,7 +130,6 @@ def _base_episode_config(cfg: dict, theta: float, beta: float, d_gap: int,
             l_high=float(cfg["defense"]["l_high"]),
             target_entropy_fraction=float(cfg["defense"]["target_entropy_fraction"]),
             epsilon=float(cfg["simulation"]["epsilon"]),
-            forecast_mode=str(cfg["defense"]["forecast_mode"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

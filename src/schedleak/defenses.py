@@ -1,13 +1,13 @@
 """Leakage countermeasures: hysteresis mode switching and entropy packing.
 
 The alternating defense (ADE) runs online: at every renewal the scheduler
-forecasts what the listener's certainty will be at the next request
-instant, switches to the fixed-period schedule when that forecast crosses
-an upper threshold, and back to the goal-oriented schedule when it falls
-below a lower threshold.  The forecast is forward-only (a flat backward
-boundary): at decision time no future observations exist, but the sender
-controls the timing, so the listener's forward state is computable
-exactly.
+forecasts the listener's highest certainty over the segment the current
+regime would schedule next, switches to the fixed-period schedule when
+that forecast crosses an upper threshold, and back to the goal-oriented
+schedule when it falls below a lower threshold.  The forecast is
+forward-only (a flat backward boundary): at decision time no future
+observations exist, but the sender controls the timing, so the listener's
+forward state is computable exactly.
 
 The packing defense (PDE) runs offline: starting from the goal-oriented
 schedule it repeatedly applies the single-state deviation that lowers the
@@ -39,76 +39,58 @@ class DefenseMode(Enum):
 
 @dataclass
 class AdeState:
-    """Mode flag, hysteresis band and the fallback period.
-
-    ``goc_segment``/``pp_segment`` are the listener-side models of the two
-    regimes, used to forecast leakage under each hypothesis.
-    """
+    """Mode flag, hysteresis band and the listener-side models of the two
+    regimes; ``segment`` is the regime the current mode schedules under."""
 
     mode: DefenseMode
     l_low: float
     l_high: float
-    period: int
-    goc_segment: SegmentModel | None = None
-    pp_segment: SegmentModel | None = None
+    goc_segment: SegmentModel
+    pp_segment: SegmentModel
 
     def __post_init__(self):
         if not self.l_low < self.l_high:
             raise ValueError("need l_low < l_high")
 
+    @property
+    def segment(self) -> SegmentModel:
+        return self.goc_segment if self.mode is DefenseMode.GOC else self.pp_segment
+
 
 def forecast_leakage(est: EveEstimator, planned_interval: int, D: int,
-                     segment_model: SegmentModel | None = None,
-                     mode: str = "instant") -> float:
+                     segment_model: SegmentModel) -> float:
     """Leakage the listener would reach if the next interval were as planned.
 
-    Simulates appending the interval to the timing trace and evaluates
-    leakage at the anticipated next request instant (``mode="instant"``)
-    or its maximum over every step of the hypothetical segment
-    (``mode="interval_max"``).
+    Simulates appending the interval, scheduled under ``segment_model``, to
+    the timing trace and returns the maximum leakage over every step of
+    that hypothetical segment.
     """
     probe = est.clone()
-    if segment_model is not None:
-        probe.set_active(segment_model)
+    probe.set_active(segment_model)
     probe.observe(planned_interval)
-    arrival = probe.times[-1]
-    if mode == "instant":
-        return probe.leakage(arrival, D)
-    if mode == "interval_max":
-        start = probe.times[-2] + 1
-        return max(probe.leakage(h, D) for h in range(start, arrival + 1))
-    raise ValueError(f"unknown forecast mode {mode!r}")
+    start, arrival = probe.times[-2] + 1, probe.times[-1]
+    return max(probe.leakage(h, D) for h in range(start, arrival + 1))
 
 
-def ade_decide(mode: DefenseMode, forecast: float, ade: AdeState,
-               sigma_s: int) -> tuple[int, DefenseMode]:
+def ade_decide(mode: DefenseMode, forecast: float, l_low: float,
+               l_high: float) -> DefenseMode:
     """Pure hysteresis rule given the forecast for the active mode."""
     if mode is DefenseMode.GOC:
-        if forecast >= ade.l_high:
-            return ade.period, DefenseMode.PERIODIC
-        return sigma_s, DefenseMode.GOC
-    if forecast < ade.l_low:
-        return sigma_s, DefenseMode.GOC
-    return ade.period, DefenseMode.PERIODIC
+        return DefenseMode.PERIODIC if forecast >= l_high else DefenseMode.GOC
+    return DefenseMode.GOC if forecast < l_low else DefenseMode.PERIODIC
 
 
-def ade_schedule(s: int, ade: AdeState, sigma: SchedulingFunction,
-                 est: EveEstimator, D: int,
-                 forecast_mode: str = "instant") -> tuple[int, DefenseMode]:
-    """Next interval and mode for a renewal at state ``s`` (1-indexed).
+def ade_schedule(s: int, ade: AdeState, est: EveEstimator, D: int) -> DefenseMode:
+    """Mode for a renewal at state ``s`` (1-indexed); updates ``ade.mode``.
 
-    In goal-oriented mode the forecast hypothesizes the goal-oriented
-    interval sigma(s); in periodic mode it hypothesizes the period.  The
-    mode the interval is scheduled under determines which schedule the
-    listener should assume for it.
+    The forecast hypothesizes the interval that the current mode's regime
+    assigns to ``s``, under that regime; the mode the interval is then
+    scheduled under determines which regime the listener should assume.
     """
-    if ade.mode is DefenseMode.GOC:
-        fc = forecast_leakage(est, sigma(s), D, ade.goc_segment, forecast_mode)
-    else:
-        fc = forecast_leakage(est, ade.period, D, ade.pp_segment, forecast_mode)
-    interval, new_mode = ade_decide(ade.mode, fc, ade, sigma(s))
-    ade.mode = new_mode
-    return interval, new_mode
+    seg = ade.segment
+    fc = forecast_leakage(est, int(seg.taus[s - 1]), D, seg)
+    ade.mode = ade_decide(ade.mode, fc, ade.l_low, ade.l_high)
+    return ade.mode
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +192,9 @@ def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
     return steps
 
 
-def weighted_performance(records, epsilon: float, D: int | None = None) -> float:
-    """Sum over steps of total reward minus ``epsilon`` times leakage.
-
-    ``records`` is either an episode record (with ``total_rewards`` and
-    ``leakages`` arrays, leakage computed at its own opacity gap) or an
-    iterable of (reward, leakage) pairs.
-    """
+def weighted_performance(rewards, leakages, epsilon: float) -> float:
+    """Sum over steps of total reward minus ``epsilon`` times leakage."""
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    if hasattr(records, "total_rewards"):
-        if D is not None and getattr(records, "d_gap", D) != D:
-            raise ValueError("record leakage was computed at a different gap")
-        rewards = np.asarray(records.total_rewards, dtype=float)
-        leak = np.asarray(records.leakages, dtype=float)
-    else:
-        pairs = list(records)
-        rewards = np.array([p[0] for p in pairs], dtype=float)
-        leak = np.array([p[1] for p in pairs], dtype=float)
-    return float(rewards.sum() - epsilon * leak.sum())
+    return float(np.asarray(rewards, dtype=float).sum()
+                 - epsilon * np.asarray(leakages, dtype=float).sum())

@@ -47,7 +47,8 @@ class InconsistentTimingError(ValueError):
 class SegmentModel:
     """One scheduling regime as the listener models it.
 
-    Holds, per renewal state, the interval the regime assigns and the
+    Holds, per renewal state, the interval the regime assigns
+    (``taus``), the control table it is built from (``control``) and the
     step kernels needed for smoothing: prefix rows (the belief about the
     state ``l`` steps into a segment opened at a known state, from
     ``policy.segment_beliefs``) and suffix matrices (the transition
@@ -68,6 +69,7 @@ class SegmentModel:
         self.homogeneous = model.num_actions == 1
         if not self.homogeneous and control is None:
             raise ValueError("control models need a control table")
+        self.control = control
         self._emission = (np.arange(t_max + 1)[:, None] == self.taus).astype(float)
         self._pre = segment_beliefs(model, control, t_max)
         if not self.homogeneous:

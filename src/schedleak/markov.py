@@ -28,7 +28,7 @@ class Scenario(Enum):
 
 
 class NumericalError(RuntimeError):
-    """Policy iteration exceeded its sweep cap (``PlannerConfig.max_sweeps``)."""
+    """Policy iteration exceeded its fixed sweep cap."""
 
 
 @dataclass(frozen=True)

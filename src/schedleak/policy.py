@@ -44,20 +44,17 @@ log = logging.getLogger("schedleak")
 # policy iteration accepts a plan only if it beats the current value by more
 # than this; a smaller margin lets rounding noise cycle improvements
 _IMPROVEMENT_MARGIN = 1e-11
+# policy iteration that runs this many sweeps raises NumericalError
+_MAX_SWEEPS = 100_000
 
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    """Planner parameters.
-
-    Policy iteration that exceeds ``max_sweeps`` sweeps raises
-    ``NumericalError``.
-    """
+    """Planner parameters: discount, transmission cost and horizon."""
 
     gamma: float = 0.95
     beta: float = 1.0
     t_max: int = 10
-    max_sweeps: int = 100_000
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -317,7 +314,7 @@ def _policy_iteration(model, cfg, allowed, init_control=None):
     c, k = _plan_stats(model, cfg, control)
     v0 = _values(c, k, taus)
     expanded = 0
-    for sweep in range(1, cfg.max_sweeps + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         if model.num_actions == 1:
             vals = np.where(allowed, c + k @ v0, -np.inf)
             cand_taus, cand_control = np.argmax(vals, axis=1), control
@@ -334,7 +331,7 @@ def _policy_iteration(model, cfg, allowed, init_control=None):
         control = np.where(accept[:, None], cand_control, control)
         c, k = _plan_stats(model, cfg, control)
         v0 = _values(c, k, taus)
-    raise NumericalError(f"policy iteration exceeded {cfg.max_sweeps} sweeps")
+    raise NumericalError(f"policy iteration exceeded {_MAX_SWEEPS} sweeps")
 
 
 # ---------------------------------------------------------------------------

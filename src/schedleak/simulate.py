@@ -57,7 +57,6 @@ class EpisodeConfig:
     l_high: float = 0.6
     target_entropy_fraction: float = 0.5
     epsilon: float = 0.0
-    forecast_mode: str = "interval_max"
 
     def __post_init__(self):
         if self.num_states < 5:
@@ -68,8 +67,6 @@ class EpisodeConfig:
             raise ValueError("n_steps must be at least 1")
         if self.d_gap < 0:
             raise ValueError("d_gap must be nonnegative")
-        if self.forecast_mode not in ("instant", "interval_max"):
-            raise ValueError(f"unknown forecast mode {self.forecast_mode!r}")
         if not self.l_low < self.l_high:
             raise ValueError(f"need l_low < l_high, got {self.l_low!r} and {self.l_high!r}")
         if not self.epsilon >= 0:
@@ -97,7 +94,6 @@ class EpisodeRecord:
     eve_hit_truncated: np.ndarray
     modes: list[str]
     d_gap: int
-    epsilon: float
 
     @property
     def total_rewards(self) -> np.ndarray:
@@ -210,16 +206,16 @@ class CellSolution:
         return self._pde_cache[key]
 
     def regime(self, kind: PolicyKind, fraction: float):
-        """(sigma, policy, segment model, mode label) of a fixed schedule.
+        """(sigma, policy, segment model) of a fixed schedule, as ``pde``.
 
         ADE has no fixed schedule; it switches between the MPI (goal-
         oriented) and PP (periodic) regimes, and is given the MPI one.
         """
         if kind is PolicyKind.PP:
-            return self.sigma_pp, self.pp_policy, self.seg_pp, "periodic"
+            return self.sigma_pp, self.pp_policy, self.seg_pp
         if kind is PolicyKind.PDE:
-            return (*self.pde(fraction), "goc")
-        return self.sigma_goc, self.goc, self.seg_goc, "goc"
+            return self.pde(fraction)
+        return self.sigma_goc, self.goc, self.seg_goc
 
     def occupancy(self, kind: PolicyKind, fraction: float = 0.5) -> np.ndarray:
         """Long-run true-state distribution under a policy kind, memoised.
@@ -234,7 +230,7 @@ class CellSolution:
             if key is None:
                 self._occupancy[key] = markov.steady_state(self.model)
             else:
-                sigma, jp, _, _ = self.regime(key[0], fraction)
+                sigma, jp, _ = self.regime(key[0], fraction)
                 self._occupancy[key] = policy.occupancy_distribution(self.model, sigma, jp)
         return self._occupancy[key]
 
@@ -249,16 +245,14 @@ def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
     rng = np.random.default_rng([cfg.seed, episode_index])
 
     mu0 = sol.occupancy(kind, fraction)
-    regime = sol.regime(kind, fraction)
+    seg = sol.regime(kind, fraction)[2]   # the regime in force; ADE switches it
+    label = (DefenseMode.PERIODIC if kind is PolicyKind.PP else DefenseMode.GOC).value
     ade = None
     if kind is PolicyKind.ADE:
         ade = AdeState(mode=DefenseMode.GOC, l_low=cfg.l_low, l_high=cfg.l_high,
-                       period=sol.pp_period, goc_segment=sol.seg_goc,
-                       pp_segment=sol.seg_pp)
-        regimes = {DefenseMode.GOC: regime,
-                   DefenseMode.PERIODIC: sol.regime(PolicyKind.PP, fraction)}
+                       goc_segment=sol.seg_goc, pp_segment=sol.seg_pp)
 
-    est = EveEstimator(model, active=sol.seg_goc, prior=mu0)
+    est = EveEstimator(model, active=seg, prior=mu0)
 
     states = np.zeros(n_steps, dtype=np.int64)
     actions = np.zeros(n_steps, dtype=np.int64)
@@ -282,12 +276,9 @@ def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
             if n > 0:
                 est.observe(interval)
             if ade is not None:
-                _, mode = defenses.ade_schedule(
-                    s + 1, ade, sol.sigma_goc, est, gap,
-                    forecast_mode=cfg.forecast_mode)
-                regime = regimes[mode]
-            sigma, jp, seg, modes_label = regime
-            interval, control_row = sigma(s + 1), jp.control[s]
+                label = defenses.ade_schedule(s + 1, ade, est, gap).value
+                seg = ade.segment
+            interval, control_row = int(seg.taus[s]), seg.control[s]
             est.set_active(seg)
             transmits[n] = 1
             last_tx = n
@@ -304,7 +295,7 @@ def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
         leakages[n] = max(0.0, *map(eavesdropper.certainty, window))
         if n >= gap:
             guesses[n - gap] = np.argmax(window[gap])
-        modes[n] = modes_label
+        modes[n] = label
         matrix_index = 0 if model.num_actions == 1 else a
         s = draw(sol.cdf[matrix_index, s])
 
@@ -324,14 +315,15 @@ def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
                            task_rewards=task_rewards, comm_rewards=comm_rewards,
                            leakages=leakages, eve_hits=eve_hits,
                            eve_hit_truncated=truncated, modes=modes,
-                           d_gap=gap, epsilon=cfg.epsilon)
+                           d_gap=gap)
     metrics = EpisodeMetrics(
         mean_leakage=float(leakages.mean()),
         mean_total_reward=float(record.total_rewards.mean()),
         mean_task_reward=float(task_rewards.mean()),
         eve_accuracy=float(eve_hits.mean()),
         transmission_probability=float(transmits.mean()),
-        weighted_performance=defenses.weighted_performance(record, cfg.epsilon, gap),
+        weighted_performance=defenses.weighted_performance(
+            record.total_rewards, leakages, cfg.epsilon),
     )
     return record, metrics
 

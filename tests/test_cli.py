@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -64,11 +65,12 @@ class TestConfig:
         ("simulate", {"model": {"num_states": 4}}),
         ("simulate", {"model": {"theta": [8, 0]}}),
         ("simulate", {"planner": {"beta": [1.0, -1.0]}}),
+        ("simulate", {"defense": {"forecast_mode": "instant"}}),
     ], ids=["gamma", "value_tolerance=0", "value_tolerance=1e-15",
             "value_tolerance<0", "l_low>l_high", "epsilon<0", "fraction>1",
             "pde_grid>1", "pde_grid<0", "ade_grid", "solve-num_states=4",
             "solve-theta=0", "simulate-num_states=4", "simulate-theta=0",
-            "simulate-beta<0"])
+            "simulate-beta<0", "forecast_mode=instant"])
     def test_bad_parameter_value(self, tmp_path, capsys, monkeypatch, command, sections):
         def forbidden(cfg):
             raise AssertionError("cell solved before the config was checked")
@@ -77,6 +79,18 @@ class TestConfig:
         rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_defaults_match_episode_config(self):
+        """A key the CLI shares with ``EpisodeConfig`` has the same default."""
+        fields = {f.name: f.default for f in dataclasses.fields(sl.EpisodeConfig)}
+        shared = {key: value for body in cli._DEFAULTS.values()
+                  for key, value in body.items() if key in fields}
+        assert len(shared) == 13
+        for key, value in shared.items():
+            default = fields[key]
+            if isinstance(default, sl.Scenario):
+                default = default.value
+            assert value == default, key
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

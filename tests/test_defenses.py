@@ -13,26 +13,18 @@ from test_markov import estimation_model, ring_matrix
 from test_policy import tie_rich_model
 
 
-def make_ade(mode=DefenseMode.GOC, l_low=0.4, l_high=0.6, period=4):
-    return sl.AdeState(mode=mode, l_low=l_low, l_high=l_high, period=period)
-
-
 class TestAdeRule:
     def test_goc_crosses_upper(self):
-        interval, mode = ade_decide(DefenseMode.GOC, 0.65, make_ade(), sigma_s=3)
-        assert (interval, mode) == (4, DefenseMode.PERIODIC)
+        assert ade_decide(DefenseMode.GOC, 0.65, 0.4, 0.6) is DefenseMode.PERIODIC
 
     def test_periodic_crosses_lower(self):
-        interval, mode = ade_decide(DefenseMode.PERIODIC, 0.35, make_ade(), sigma_s=3)
-        assert (interval, mode) == (3, DefenseMode.GOC)
+        assert ade_decide(DefenseMode.PERIODIC, 0.35, 0.4, 0.6) is DefenseMode.GOC
 
     def test_periodic_sticky_in_band(self):
-        interval, mode = ade_decide(DefenseMode.PERIODIC, 0.50, make_ade(), sigma_s=3)
-        assert (interval, mode) == (4, DefenseMode.PERIODIC)
+        assert ade_decide(DefenseMode.PERIODIC, 0.50, 0.4, 0.6) is DefenseMode.PERIODIC
 
     def test_goc_sticky_in_band(self):
-        interval, mode = ade_decide(DefenseMode.GOC, 0.50, make_ade(), sigma_s=3)
-        assert (interval, mode) == (3, DefenseMode.GOC)
+        assert ade_decide(DefenseMode.GOC, 0.50, 0.4, 0.6) is DefenseMode.GOC
 
     def test_hysteresis_replay(self):
         """Mode flips only at band crossings over a synthetic forecast path."""
@@ -41,15 +33,15 @@ class TestAdeRule:
                     DefenseMode.PERIODIC, DefenseMode.PERIODIC,
                     DefenseMode.PERIODIC, DefenseMode.GOC, DefenseMode.GOC,
                     DefenseMode.PERIODIC, DefenseMode.PERIODIC]
-        ade = make_ade()
-        mode = ade.mode
+        mode = DefenseMode.GOC
         for fc, want in zip(forecasts, expected):
-            _, mode = ade_decide(mode, fc, ade, sigma_s=2)
+            mode = ade_decide(mode, fc, 0.4, 0.6)
             assert mode is want
 
-    def test_threshold_order_enforced(self):
+    def test_threshold_order_enforced(self, est_cell):
         with pytest.raises(ValueError):
-            sl.AdeState(mode=DefenseMode.GOC, l_low=0.6, l_high=0.4, period=3)
+            sl.AdeState(mode=DefenseMode.GOC, l_low=0.6, l_high=0.4,
+                        goc_segment=est_cell.seg_goc, pp_segment=est_cell.seg_pp)
 
 
 class TestForecast:
@@ -60,7 +52,7 @@ class TestForecast:
         est = sl.EveEstimator(m, active=seg, prior=mu)
         for _ in range(15):
             est.observe(4)
-        fc = sl.forecast_leakage(est, 4, 5)
+        fc = sl.forecast_leakage(est, 4, 5, seg)
         assert fc - sl.min_leakage(m, mu=mu) < 0.02
 
     def test_distinguishing_schedule_forecasts_certainty(self):
@@ -68,7 +60,7 @@ class TestForecast:
         taus = np.array([1, 2, 3])
         seg = sl.SegmentModel(model, taus, None, 3)
         est = sl.EveEstimator(model, active=seg, prior=np.full(3, 1 / 3))
-        assert sl.forecast_leakage(est, 2, 0) == pytest.approx(1.0, abs=1e-9)
+        assert sl.forecast_leakage(est, 2, 0, seg) == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_in_gap(self, est_cell):
         seg = est_cell.seg_goc
@@ -76,40 +68,33 @@ class TestForecast:
                               prior=sl.steady_state(est_cell.model))
         est.observe(int(est_cell.sigma_goc.intervals[10]))
         tau = int(est_cell.sigma_goc.intervals[4])
-        assert sl.forecast_leakage(est, tau, 0) <= sl.forecast_leakage(est, tau, 5) + 1e-12
+        assert sl.forecast_leakage(est, tau, 0, seg) <= \
+            sl.forecast_leakage(est, tau, 5, seg) + 1e-12
 
     def test_probe_does_not_mutate(self, est_cell):
         est = sl.EveEstimator(est_cell.model, active=est_cell.seg_goc,
                               prior=sl.steady_state(est_cell.model))
         est.observe(int(est_cell.sigma_goc.intervals[0]))
         before = len(est.intervals)
-        sl.forecast_leakage(est, 3, 5)
+        sl.forecast_leakage(est, 3, 5, est_cell.seg_goc)
         assert len(est.intervals) == before
-
-    def test_interval_max_bounds_instant(self, est_cell):
-        est = sl.EveEstimator(est_cell.model, active=est_cell.seg_goc,
-                              prior=sl.steady_state(est_cell.model))
-        est.observe(int(est_cell.sigma_goc.intervals[0]))
-        tau = int(est_cell.sigma_goc.intervals[7])
-        inst = sl.forecast_leakage(est, tau, 5, mode="instant")
-        peak = sl.forecast_leakage(est, tau, 5, mode="interval_max")
-        assert peak >= inst - 1e-12
 
 
 class TestAdeSchedule:
     def test_interval_always_valid(self, est_cell):
         mu = sl.steady_state(est_cell.model)
         ade = sl.AdeState(mode=DefenseMode.GOC, l_low=0.4, l_high=0.6,
-                          period=est_cell.pp_period,
                           goc_segment=est_cell.seg_goc,
                           pp_segment=est_cell.seg_pp)
         est = sl.EveEstimator(est_cell.model, active=est_cell.seg_goc, prior=mu)
         rng = np.random.default_rng(3)
         for _ in range(12):
             s = int(rng.integers(1, 31))
-            interval, mode = sl.ade_schedule(s, ade, est_cell.sigma_goc, est, 5)
-            assert 1 <= interval <= 10
+            mode = sl.ade_schedule(s, ade, est, 5)
             seg = est_cell.seg_goc if mode is DefenseMode.GOC else est_cell.seg_pp
+            assert ade.segment is seg
+            interval = int(seg.taus[s - 1])
+            assert 1 <= interval <= 10
             est.set_active(seg)
             est.observe(interval)
 
@@ -117,11 +102,10 @@ class TestAdeSchedule:
         """With the band at the floor, a leaky schedule switches immediately."""
         mu = sl.steady_state(est_cell.model)
         ade = sl.AdeState(mode=DefenseMode.GOC, l_low=0.05, l_high=0.1,
-                          period=est_cell.pp_period,
                           goc_segment=est_cell.seg_goc,
                           pp_segment=est_cell.seg_pp)
         est = sl.EveEstimator(est_cell.model, active=est_cell.seg_goc, prior=mu)
-        _, mode = sl.ade_schedule(5, ade, est_cell.sigma_goc, est, 5)
+        mode = sl.ade_schedule(5, ade, est, 5)
         assert mode is DefenseMode.PERIODIC
 
 
@@ -182,6 +166,21 @@ class TestPackPde:
         assert len(steps) == len(ref_steps) > 1
         assert np.array_equal([s.intervals for s, _ in steps],
                               [s.intervals for s, _ in ref_steps])
+        assert np.array_equal([h for _, h in steps], [h for _, h in ref_steps])
+
+    def test_scan_order_decides_cross_ties(self):
+        """Under the identity chain at these dyadic values every entropy-
+        lowering deviation scores exactly 2.0, so the first maximum in
+        (state, interval) order decides: state 1 moves to interval 2, where
+        an interval-major scan would move state 5 to interval 1."""
+        model = estimation_model(np.eye(5))
+        planner = sl.PlannerConfig(gamma=0.5, beta=0.0, t_max=3)
+        sigma0 = sl.SchedulingFunction(np.array([1, 3, 3, 3, 2]), t_max=3)
+        steps = sl.pde_packing_steps(sigma0, model, planner)
+        assert steps[1][0].intervals.tolist() == [2, 3, 3, 3, 2]
+        ref_steps, _ = reference_packing_steps(sigma0, model, planner)
+        assert [s.intervals.tolist() for s, _ in steps] == \
+            [s.intervals.tolist() for s, _ in ref_steps]
         assert np.array_equal([h for _, h in steps], [h for _, h in ref_steps])
 
     def test_target_already_met_returns_input(self, est_cell):
@@ -283,22 +282,13 @@ class TestWarmPacking:
 
 class TestWeightedPerformance:
     def test_zero_epsilon_is_total_reward(self):
-        pairs = [(1.0, 0.3), (0.5, 0.9), (-0.2, 0.1)]
-        assert sl.weighted_performance(pairs, 0.0) == pytest.approx(1.3)
+        assert sl.weighted_performance([1.0, 0.5, -0.2], [0.3, 0.9, 0.1], 0.0) == \
+            pytest.approx(1.3)
 
     def test_zero_leakage_ignores_epsilon(self):
-        pairs = [(1.0, 0.0), (2.0, 0.0)]
         for eps in (0.0, 1.0, 10.0):
-            assert sl.weighted_performance(pairs, eps) == pytest.approx(3.0)
+            assert sl.weighted_performance([1.0, 2.0], [0.0, 0.0], eps) == pytest.approx(3.0)
 
     def test_hand_trace(self):
-        pairs = [(1.0, 0.5), (0.0, 0.5), (1.0, 0.0)]
-        assert sl.weighted_performance(pairs, 2.0) == pytest.approx(0.0)
-
-    def test_gap_mismatch_rejected(self, est_cell):
-        cfg_kwargs = dict(scenario=sl.Scenario.ESTIMATION, theta=32.0, beta=1.0,
-                          d_gap=5, n_steps=30, seed=1,
-                          policy_kind=sl.PolicyKind.MPI)
-        record, _ = sl.run_episode(sl.EpisodeConfig(**cfg_kwargs), est_cell)
-        with pytest.raises(ValueError):
-            sl.weighted_performance(record, 0.5, D=3)
+        assert sl.weighted_performance([1.0, 0.0, 1.0], [0.5, 0.5, 0.0], 2.0) == \
+            pytest.approx(0.0)
