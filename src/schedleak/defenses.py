@@ -25,7 +25,7 @@ import numpy as np
 
 from . import policy
 from .eavesdropper import EveEstimator, SegmentModel
-from .markov import MarkovModel, shannon_entropy
+from .markov import MarkovModel
 from .policy import (PlannerConfig, SchedulingFunction, policy_entropy,
                      single_state_deviation)
 
@@ -109,19 +109,22 @@ def _deviation_table(model: MarkovModel, cfg: PlannerConfig,
     optimal for ``sigma``, a deviation keeps the incumbent plan, truncated
     or extended greedily toward the stop values of ``jp``; a greedy step
     depends only on the plan before it, so each plan is extended to
-    ``t_max`` once and shorter extensions are its prefixes.
+    ``t_max`` once and shorter extensions are its prefixes.  Each depth
+    extends every plan that has ended by one step, reading the one-step
+    stop values of all actions from the table ``q[:, a] = M_a @ stop``.
     """
     if jp is None:
         return policy.segment_stats(model, cfg, policy.segment_beliefs(model, None, cfg.t_max),
                                     None)
     stop_vec = -cfg.beta + policy.evaluate_policy_values(model, sigma, jp, cfg)
+    q = (model.transitions @ stop_vec).T
     beliefs = policy.segment_beliefs(model, jp.control, cfg.t_max)
     actions = jp.control.copy()
-    for s, tau in enumerate(sigma.intervals):
-        for t in range(tau, cfg.t_max):
-            scores = [float((beliefs[s, t] @ m) @ stop_vec) for m in model.transitions]
-            actions[s, t] = int(np.argmax(scores))
-            beliefs[s, t + 1] = beliefs[s, t] @ model.transitions[actions[s, t]]
+    for t in range(int(sigma.intervals.min()), cfg.t_max):
+        ext = np.flatnonzero(sigma.intervals <= t)
+        actions[ext, t] = np.argmax(beliefs[ext, t] @ q, axis=1)
+        beliefs[ext, t + 1] = (beliefs[ext, t, None, :]
+                               @ model.transitions[actions[ext, t]])[:, 0]
     return policy.segment_stats(model, cfg, beliefs, actions)
 
 
@@ -133,9 +136,12 @@ def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
 
     Each step applies the reward-best single-state deviation among those
     that strictly lower the schedule entropy; candidates are taken in
-    ascending (state, interval) order and the first maximum is kept.  A
-    candidate's entropy follows from the step's interval counts with one
-    count moved, so it depends only on the (old, new) interval pair.  A
+    ascending (state, interval) order and the first maximum is kept.
+    Moving a state from an interval shared by ``a`` states to one shared
+    by ``b`` changes the entropy by ``-[g(a-1) + g(b+1) - g(a) - g(b)] /
+    (n ln 2)`` with ``g(c) = c ln c`` strictly convex, so it lowers the
+    entropy exactly when ``b >= a``; candidates are picked by that integer
+    rule (``b = a - 1`` only swaps two counts and is never taken).  A
     candidate's score is the mean renewal value of the evaluation system
     (I - K) v = c with that state's row swapped; all of a step's systems
     are solved in one stacked call.  Control models re-optimize the plans
@@ -148,47 +154,39 @@ def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
     if target_entropy < 0:
         raise ValueError("target entropy must be nonnegative")
     policy.check_schedule(model, sigma0, planner.t_max)
-    n, t_max = model.num_states, planner.t_max
+    n = model.num_states
     if model.num_actions == 1:
         c_tab, k_tab = _deviation_table(model, planner)
     current = sigma0
     h = policy_entropy(current, n)
     steps = [(current, h)]
-    scored = evaluated = 0
+    scored = 0
+    idx = np.arange(n)
+    # while h > target >= 0 two intervals are in use, so moving a state from
+    # the less shared one to the more shared one is always a candidate
     while h > target_entropy:
         taus = current.intervals
         if model.num_actions > 1:
             jp = policy.best_control_for_sigma(model, current, planner, control)
             control = jp.control
             c_tab, k_tab = _deviation_table(model, planner, current, jp)
-        counts = np.bincount(taus, minlength=t_max + 1)
-        moves = np.full((t_max + 1, t_max + 1), np.inf)   # entropy after old -> tau
-        for old in np.flatnonzero(counts):
-            for tau in range(1, t_max + 1):
-                if tau != old:
-                    moved = counts.copy()
-                    moved[old] -= 1
-                    moved[tau] += 1
-                    moves[old, tau] = shannon_entropy(moved[1:] / n)
-                    evaluated += 1
-        cand_s, cand_tau = np.nonzero(moves[taus] < h)
-        if len(cand_s) == 0:
-            break
+        counts = np.bincount(taus, minlength=planner.t_max + 1)
+        lowers = counts >= counts[taus][:, None]   # never interval 0: counts[0] = 0
+        lowers[idx, taus] = False
+        cand_s, cand_tau = np.nonzero(lowers)
         scored += len(cand_s)
-        idx, rows = np.arange(n), np.arange(len(cand_s))
+        rows = np.arange(len(cand_s))
         a = np.repeat((np.eye(n) - k_tab[idx, taus])[None], len(cand_s), axis=0)
         b = np.repeat(c_tab[idx, taus][None], len(cand_s), axis=0)
         a[rows, cand_s] = np.eye(n)[cand_s] - k_tab[cand_s, cand_tau]
         b[rows, cand_s] = c_tab[cand_s, cand_tau]
         scores = np.linalg.solve(a, b[..., None])[..., 0].mean(axis=1)
         best = int(np.argmax(scores))
-        s_star, tau = int(cand_s[best]), int(cand_tau[best])
-        h = float(moves[taus[s_star], tau])
-        current = single_state_deviation(current, s_star + 1, tau)
+        current = single_state_deviation(current, int(cand_s[best]) + 1, int(cand_tau[best]))
+        h = policy_entropy(current, n)
         steps.append((current, h))
-    log.debug("pde packing: %d steps accepted, %d candidates scored, "
-              "%d distinct entropy evaluations, final entropy %.6g",
-              len(steps) - 1, scored, evaluated, h)
+    log.debug("pde packing: %d steps accepted, %d candidates scored, final entropy %.6g",
+              len(steps) - 1, scored, h)
     return steps
 
 

@@ -228,12 +228,15 @@ def _improve_control(model, cfg, v0, allowed):
     Nodes at each depth are enumerated with earlier actions varying last
     (parent-major), so taking the first maximum, up to the margin, while
     scanning depths in ascending order realizes the (smaller tau, smaller
-    actions) rule.
+    actions) rule.  A node's value after one more action is read from the
+    stop-value table ``q[:, a] = M_a @ (v0 - beta)`` of its parent's
+    belief, so child beliefs are made only where the search goes deeper.
     Returns (taus, control, values, nodes expanded).
     """
     n, na = model.num_states, model.num_actions
     r = model.task_reward
     stop_vec = -cfg.beta + v0
+    q = (model.transitions @ stop_vec).T
     # beliefs are row vectors: children of row z are [z @ M_a for each a]
     stacked = np.concatenate(list(model.transitions), axis=1)
     w = np.empty((n, cfg.t_max + 1))
@@ -256,12 +259,7 @@ def _improve_control(model, cfg, v0, allowed):
             step = cfg.gamma ** (t - 1) * (beliefs @ r)
             acc = np.repeat(acc + step, na)
             # row p*na + a is (parent p, action a): lexicographic order
-            if t < stops[-1]:
-                beliefs = (beliefs @ stacked).reshape(-1, n)
-                ends = beliefs @ stop_vec
-            else:   # leaves need only values; slices bound the peak memory
-                ends = np.concatenate([(z @ stacked).reshape(-1, n) @ stop_vec for z in
-                                       np.array_split(beliefs, len(beliefs) // 4096 + 1)])
+            ends = (beliefs @ q).ravel()
             paths = np.concatenate(
                 [np.repeat(paths, na, axis=0),
                  np.tile(np.arange(na, dtype=np.int8), len(step))[:, None]],
@@ -279,6 +277,7 @@ def _improve_control(model, cfg, v0, allowed):
                     control[s, :t] = paths[i]
             if t == stops[-1]:
                 break
+            beliefs = (beliefs @ stacked).reshape(-1, n)
             ahead = stops[stops > t] - t
             bound = acc + cfg.gamma ** t * (beliefs @ w[:, ahead]).max(axis=1)
             keep = bound >= max(best_val, v0[s]) - margin

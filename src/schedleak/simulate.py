@@ -127,14 +127,7 @@ class EpisodeMetrics:
     weighted_performance: float
 
     def to_dict(self) -> dict:
-        return {
-            "mean_leakage": self.mean_leakage,
-            "mean_total_reward": self.mean_total_reward,
-            "mean_task_reward": self.mean_task_reward,
-            "eve_accuracy": self.eve_accuracy,
-            "transmission_probability": self.transmission_probability,
-            "weighted_performance": self.weighted_performance,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -195,12 +188,8 @@ class CellSolution:
                 sigma_pde = sig
                 if h <= target:
                     break
-            if self.model.num_actions == 1:
-                jp = policy.JointPolicy.from_intervals(
-                    sigma_pde.intervals, self.goc.control, self.planner.t_max)
-            else:
-                jp = policy.best_control_for_sigma(self.model, sigma_pde, self.planner,
-                                                   init_control=self.goc.control)
+            jp = policy.best_control_for_sigma(self.model, sigma_pde, self.planner,
+                                               init_control=self.goc.control)
             seg = SegmentModel(self.model, sigma_pde.intervals, jp.control, self.planner.t_max)
             self._pde_cache[key] = (sigma_pde, jp, seg)
         return self._pde_cache[key]

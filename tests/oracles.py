@@ -295,7 +295,7 @@ def reference_packing_steps(sigma0, model, planner, target_entropy: float = 0.0)
                     continue
                 cand = policy.single_state_deviation(current, s + 1, tau)
                 h_cand = policy.policy_entropy(cand, n)
-                if h_cand >= h:
+                if not h_cand < h - 1e-9:   # a pure count swap changes nothing
                     continue
                 if model.num_actions == 1:
                     c_row, k_row = c_tab[s, tau], k_tab[s, tau]

@@ -135,7 +135,7 @@ class TestPackPde:
     def test_entropy_strictly_decreasing(self, est_cell):
         steps = est_cell.pde_steps()
         ents = [h for _, h in steps]
-        assert all(a > b for a, b in zip(ents, ents[1:]))
+        assert all(a - b > 1e-9 for a, b in zip(ents, ents[1:]))
         assert len(steps) <= 30 * 10 + 1
 
     def test_halving_at_standard_cell(self, est_cell):
@@ -270,12 +270,10 @@ class TestWarmPacking:
         assert re.fullmatch(r"policy iteration: 1 sweeps, \d+ plan nodes expanded", lines[0])
         packing = [line for line in lines if line.startswith("pde packing")]
         assert len(packing) == 1
-        accepted, scored, evaluated, final = re.fullmatch(
+        accepted, scored, final = re.fullmatch(
             r"pde packing: (\d+) steps accepted, (\d+) candidates scored, "
-            r"(\d+) distinct entropy evaluations, final entropy (\S+)",
-            packing[0]).groups()
+            r"final entropy (\S+)", packing[0]).groups()
         assert int(accepted) == len(steps) - 1 > 0
-        assert 0 < int(evaluated) <= int(accepted) * cfg.t_max * (cfg.t_max - 1)
         assert int(scored) >= int(accepted)
         assert float(final) == pytest.approx(steps[-1][1], abs=1e-5)
 
