@@ -99,14 +99,13 @@ def ade_schedule(s: int, ade: AdeState, est: EveEstimator, D: int) -> DefenseMod
 
 
 def _deviation_table(model: MarkovModel, cfg: PlannerConfig,
-                     sigma: SchedulingFunction | None = None,
                      jp: policy.JointPolicy | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Segment reward ``c[s, tau]`` and renewal row ``K[s, tau]`` of every
     single-state deviation, from ``policy.segment_stats``.
 
     Without ``jp`` (estimation models) this is the MAP table.  With ``jp``
-    optimal for ``sigma``, a deviation keeps the incumbent plan, truncated
+    optimal for its schedule, a deviation keeps the incumbent plan, truncated
     or extended greedily toward the stop values of ``jp``; a greedy step
     depends only on the plan before it, so each plan is extended to
     ``t_max`` once and shorter extensions are its prefixes.  Each depth
@@ -116,12 +115,12 @@ def _deviation_table(model: MarkovModel, cfg: PlannerConfig,
     if jp is None:
         return policy.segment_stats(model, cfg, policy.segment_beliefs(model, None, cfg.t_max),
                                     None)
-    stop_vec = -cfg.beta + policy.evaluate_policy_values(model, sigma, jp, cfg)
+    stop_vec = -cfg.beta + policy.evaluate_policy_values(model, jp, cfg)
     q = (model.transitions @ stop_vec).T
     beliefs = policy.segment_beliefs(model, jp.control, cfg.t_max)
     actions = jp.control.copy()
-    for t in range(int(sigma.intervals.min()), cfg.t_max):
-        ext = np.flatnonzero(sigma.intervals <= t)
+    for t in range(int(jp.intervals.min()), cfg.t_max):
+        ext = np.flatnonzero(jp.intervals <= t)
         actions[ext, t] = np.argmax(beliefs[ext, t] @ q, axis=1)
         beliefs[ext, t + 1] = (beliefs[ext, t, None, :]
                                @ model.transitions[actions[ext, t]])[:, 0]
@@ -169,7 +168,7 @@ def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
         if model.num_actions > 1:
             jp = policy.best_control_for_sigma(model, current, planner, control)
             control = jp.control
-            c_tab, k_tab = _deviation_table(model, planner, current, jp)
+            c_tab, k_tab = _deviation_table(model, planner, jp)
         counts = np.bincount(taus, minlength=planner.t_max + 1)
         lowers = counts >= counts[taus][:, None]   # never interval 0: counts[0] = 0
         lowers[idx, taus] = False

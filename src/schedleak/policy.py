@@ -73,55 +73,47 @@ class SchedulingFunction:
     t_max: int
 
     def __post_init__(self):
-        iv = np.asarray(self.intervals, dtype=np.int64)
+        iv = np.asarray(self.intervals)
+        if iv.dtype.kind == "f" and np.all(np.isfinite(iv) & (iv == np.round(iv))):
+            iv = iv.astype(np.int64)
+        if iv.ndim != 1 or iv.size == 0 or iv.dtype.kind not in "iu":
+            raise ValueError("intervals must be a nonempty 1-D array of whole numbers, "
+                             f"got {iv.tolist()!r}")
+        iv = iv.astype(np.int64, copy=False)
         if np.any(iv < 1) or np.any(iv > self.t_max):
             raise ValueError("intervals must lie in 1..t_max")
         object.__setattr__(self, "intervals", iv)
 
-    def __call__(self, state: int) -> int:
-        return int(self.intervals[state - 1])
-
 
 @dataclass(frozen=True)
-class JointPolicy:
-    """Transmit map psi(s, d) and control map pi(s, d).
+class JointPolicy(SchedulingFunction):
+    """Schedule sigma(s) plus the control map pi(s, d) applied while waiting.
 
-    ``transmit`` has shape (S, t_max+1) over elapsed times 0..t_max with
-    a forced 1 at t_max; ``control`` has shape (S, t_max) over elapsed
-    times 0..t_max-1.  Control entries are action indices for control
-    models and 1-indexed state guesses for estimation models.
+    ``control`` has shape (S, t_max) over elapsed times 0..t_max-1, one row
+    per interval.  Control entries are action indices for control models
+    and 1-indexed state guesses for estimation models.
     """
 
-    transmit: np.ndarray
     control: np.ndarray
-    t_max: int
 
     def __post_init__(self):
-        tr = np.asarray(self.transmit, dtype=np.int64)
+        super().__post_init__()
         ct = np.asarray(self.control, dtype=np.int64)
-        if tr.shape[1] != self.t_max + 1 or ct.shape[1] != self.t_max:
-            raise ValueError("transmit/control widths must be t_max+1 and t_max")
-        if np.any(tr[:, self.t_max] != 1):
-            raise ValueError("transmission at t_max is forced")
-        object.__setattr__(self, "transmit", tr)
+        if ct.shape != (len(self.intervals), self.t_max):
+            raise ValueError(f"control has shape {ct.shape}, expected "
+                             f"{(len(self.intervals), self.t_max)}: one row per interval")
         object.__setattr__(self, "control", ct)
 
-    @classmethod
-    def from_intervals(cls, intervals: np.ndarray, control: np.ndarray,
-                       t_max: int) -> "JointPolicy":
-        """Policy that transmits from elapsed time ``intervals[s]`` on."""
-        transmit = (np.arange(t_max + 1)[None, :]
-                    >= np.asarray(intervals)[:, None]).astype(np.int64)
-        transmit[:, 0] = 0
-        transmit[:, t_max] = 1
-        return cls(transmit=transmit, control=control, t_max=t_max)
+    @property
+    def transmit(self) -> np.ndarray:
+        """Transmit map psi(s, d), shape (S, t_max+1) over elapsed times
+        0..t_max: 1 from ``intervals[s]`` on, so 0 at d = 0 and 1 at t_max."""
+        return (np.arange(self.t_max + 1) >= self.intervals[:, None]).astype(np.int64)
 
 
 def extract_sigma(policy: JointPolicy) -> SchedulingFunction:
-    """Smallest elapsed time >= 1 at which the policy transmits."""
-    psi = policy.transmit[:, 1:]  # elapsed 1..t_max
-    intervals = np.argmax(psi == 1, axis=1) + 1
-    return SchedulingFunction(intervals=intervals, t_max=policy.t_max)
+    """The policy's schedule alone."""
+    return SchedulingFunction(policy.intervals, policy.t_max)
 
 
 def policy_entropy(sigma: SchedulingFunction, num_states: int) -> float:
@@ -132,13 +124,13 @@ def policy_entropy(sigma: SchedulingFunction, num_states: int) -> float:
 
 def check_schedule(model: MarkovModel, sigma: SchedulingFunction, t_max: int) -> None:
     """Raise unless ``sigma`` has one interval per model state and the
-    ``t_max`` of the planner or policy it is used with."""
+    ``t_max`` of the planner it is used with."""
     if len(sigma.intervals) != model.num_states:
         raise ValueError(f"schedule has {len(sigma.intervals)} intervals, one per "
                          f"state is needed (num_states={model.num_states})")
     if sigma.t_max != t_max:
         raise ValueError(f"sigma t_max {sigma.t_max} does not match "
-                         f"t_max {t_max} of the planner or policy")
+                         f"t_max {t_max} of the planner")
 
 
 def single_state_deviation(sigma: SchedulingFunction, s_star: int,
@@ -342,15 +334,14 @@ def solve_goc(model: MarkovModel, config: PlannerConfig) -> JointPolicy:
     """Jointly optimal goal-oriented transmit/control policy."""
     allowed = np.tile(np.arange(config.t_max + 1) > 0, (model.num_states, 1))
     taus, control, _ = _policy_iteration(model, config, allowed)
-    return JointPolicy.from_intervals(taus, control, config.t_max)
+    return JointPolicy(taus, config.t_max, control)
 
 
-def solve_periodic(model: MarkovModel,
-                   config: PlannerConfig) -> tuple[int, JointPolicy]:
+def solve_periodic(model: MarkovModel, config: PlannerConfig) -> JointPolicy:
     """Best fixed-period policy: re-optimizes control for every period.
 
-    Period values that agree to within solver noise count as ties, which
-    go to the smaller period.
+    Every state's interval is the period.  Period values that agree to
+    within solver noise count as ties, which go to the smaller period.
     """
     best = None
     init = None
@@ -359,13 +350,13 @@ def solve_periodic(model: MarkovModel,
         taus, control, v0 = _policy_iteration(model, config, allowed, init)
         value = float(v0.mean())
         if best is None or value > best[0] + 1e-11 * max(1.0, abs(best[0])):
-            best = (value, period, taus, control)
+            best = (value, taus, control)
         if period < config.t_max:
             # warm-start the next period with one extra repeat of the last action
             init = control.copy()
             init[:, period] = control[:, period - 1]
-    _, period, taus, control = best
-    return period, JointPolicy.from_intervals(taus, control, config.t_max)
+    _, taus, control = best
+    return JointPolicy(taus, config.t_max, control)
 
 
 def best_control_for_sigma(model: MarkovModel, sigma: SchedulingFunction,
@@ -392,42 +383,40 @@ def best_control_for_sigma(model: MarkovModel, sigma: SchedulingFunction,
         init_control = np.where(np.arange(config.t_max) < sigma.intervals[:, None],
                                 init_control, 0)
     taus, control, _ = _policy_iteration(model, config, allowed, init_control)
-    return JointPolicy.from_intervals(taus, control, config.t_max)
+    return JointPolicy(taus, config.t_max, control)
 
 
-def evaluate_policy(model: MarkovModel, sigma: SchedulingFunction,
-                    policy: JointPolicy, config: PlannerConfig) -> float:
-    """Exact expected discounted return of (sigma, policy.control).
+def evaluate_policy(model: MarkovModel, policy: JointPolicy,
+                    config: PlannerConfig) -> float:
+    """Exact expected discounted return of a policy.
 
     Transmissions are forced at elapsed sigma(s); the start state is
     averaged uniformly, a policy-independent weighting that keeps value
     comparisons between schedules meaningful.
     """
-    v0 = evaluate_policy_values(model, sigma, policy, config)
-    return float(v0.mean())
+    return float(evaluate_policy_values(model, policy, config).mean())
 
 
-def evaluate_policy_values(model: MarkovModel, sigma: SchedulingFunction,
-                           policy: JointPolicy, config: PlannerConfig) -> np.ndarray:
-    """Renewal values of (sigma, policy.control); estimation tables are
-    read as the guesses made, not assumed to be MAP."""
-    check_schedule(model, sigma, config.t_max)
+def evaluate_policy_values(model: MarkovModel, policy: JointPolicy,
+                           config: PlannerConfig) -> np.ndarray:
+    """Renewal values of a policy; estimation tables are read as the
+    guesses made, not assumed to be MAP."""
+    check_schedule(model, policy, config.t_max)
     c, k = _plan_stats(model, config, policy.control)
-    return _values(c, k, sigma.intervals)
+    return _values(c, k, policy.intervals)
 
 
-def occupancy_distribution(model: MarkovModel, sigma: SchedulingFunction,
-                           policy: JointPolicy) -> np.ndarray:
+def occupancy_distribution(model: MarkovModel, policy: JointPolicy) -> np.ndarray:
     """Long-run distribution of the true state under a renewal policy.
 
     The long-run law nu of the renewal-state chain (``markov.stationary_law``,
     exact on periodic and reducible chains too), then the time-average of
     the within-segment beliefs weighted by nu and segment lengths.
     """
-    check_schedule(model, sigma, policy.t_max)
+    check_schedule(model, policy, policy.t_max)
     n = model.num_states
-    taus = sigma.intervals
-    pre = segment_beliefs(model, policy.control, sigma.t_max)
+    taus = policy.intervals
+    pre = segment_beliefs(model, policy.control, policy.t_max)
     nu = stationary_law(pre[np.arange(n), taus])
     occupancy = np.zeros(n)
     for s in range(n):
@@ -443,7 +432,7 @@ def occupancy_distribution(model: MarkovModel, sigma: SchedulingFunction,
 def policy_to_json(policy: JointPolicy) -> str:
     doc = {
         "t_max": policy.t_max,
-        "sigma": extract_sigma(policy).intervals.tolist(),
+        "sigma": policy.intervals.tolist(),
         "psi": policy.transmit.tolist(),
         "pi": policy.control.tolist(),
     }
@@ -451,7 +440,11 @@ def policy_to_json(policy: JointPolicy) -> str:
 
 
 def policy_from_json(text: str) -> JointPolicy:
+    """Policy of a ``policy_to_json`` document, built from ``sigma``,
+    ``t_max`` and ``pi``; raises unless ``psi`` is the transmit map of
+    ``sigma``."""
     doc = json.loads(text)
-    return JointPolicy(transmit=np.array(doc["psi"], dtype=np.int64),
-                       control=np.array(doc["pi"], dtype=np.int64),
-                       t_max=int(doc["t_max"]))
+    jp = JointPolicy(np.array(doc["sigma"]), int(doc["t_max"]), np.array(doc["pi"]))
+    if not np.array_equal(np.array(doc["psi"]), jp.transmit):
+        raise ValueError("psi is not the transmit map of sigma")
+    return jp

@@ -160,7 +160,8 @@ class CellSolution:
         self.planner = cfg.planner()
         self.goc = policy.solve_goc(self.model, self.planner)
         self.sigma_goc = policy.extract_sigma(self.goc)
-        self.pp_period, self.pp_policy = policy.solve_periodic(self.model, self.planner)
+        self.pp_policy = policy.solve_periodic(self.model, self.planner)
+        self.pp_period = int(self.pp_policy.intervals[0])
         self.sigma_pp = policy.extract_sigma(self.pp_policy)
         t_max = self.planner.t_max
         self.seg_goc = SegmentModel(self.model, self.sigma_goc.intervals, self.goc.control, t_max)
@@ -219,8 +220,8 @@ class CellSolution:
             if key is None:
                 self._occupancy[key] = markov.steady_state(self.model)
             else:
-                sigma, jp, _ = self.regime(key[0], fraction)
-                self._occupancy[key] = policy.occupancy_distribution(self.model, sigma, jp)
+                _, jp, _ = self.regime(key[0], fraction)
+                self._occupancy[key] = policy.occupancy_distribution(self.model, jp)
         return self._occupancy[key]
 
 

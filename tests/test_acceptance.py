@@ -51,9 +51,8 @@ def grid_table():
                 planner = sl.PlannerConfig(gamma=0.95, beta=beta, t_max=10)
                 goc = sl.solve_goc(model, planner)
                 sigma = sl.extract_sigma(goc)
-                v_goc = sl.evaluate_policy(model, sigma, goc, planner)
-                _, pp = sl.solve_periodic(model, planner)
-                v_pp = sl.evaluate_policy(model, sl.extract_sigma(pp), pp, planner)
+                v_goc = sl.evaluate_policy(model, goc, planner)
+                v_pp = sl.evaluate_policy(model, sl.solve_periodic(model, planner), planner)
                 h_mpi = sl.policy_entropy(sigma, 30)
                 steps = sl.pde_packing_steps(sigma, model, planner,
                                              target_entropy=0.5 * h_mpi,

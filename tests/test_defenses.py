@@ -129,7 +129,7 @@ class TestPackPde:
         for const in (2, 5):
             sig = sl.SchedulingFunction(np.full(4, const), t_max=5)
             jp = sl.best_control_for_sigma(model, sig, planner)
-            scores[const] = sl.evaluate_policy(model, sig, jp, planner)
+            scores[const] = sl.evaluate_policy(model, jp, planner)
         assert out.intervals[0] == max(scores, key=scores.get)
 
     def test_entropy_strictly_decreasing(self, est_cell):

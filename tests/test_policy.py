@@ -1,3 +1,4 @@
+import json
 import logging
 import re
 
@@ -39,23 +40,32 @@ def small_config(**kw):
     return sl.PlannerConfig(**base)
 
 
+class TestSchedulingFunction:
+    @pytest.mark.parametrize("intervals", [[2.5, 3.0], [[2, 3], [3, 2]], []],
+                             ids=["fractional", "2d", "empty"])
+    def test_malformed_intervals_rejected(self, intervals):
+        with pytest.raises(ValueError, match="nonempty 1-D array of whole numbers"):
+            sl.SchedulingFunction(np.array(intervals), t_max=5)
+
+    def test_control_rows_must_match_intervals(self):
+        with pytest.raises(ValueError, match="one row per interval"):
+            sl.JointPolicy(np.array([1, 2, 3, 4, 2]), 4, np.ones((6, 4), dtype=np.int64))
+
+
 class TestExtractSigma:
-    def make_policy(self, psi_rows, t_max):
-        transmit = np.array(psi_rows, dtype=np.int64)
-        control = np.ones((transmit.shape[0], t_max), dtype=np.int64)
-        return sl.JointPolicy(transmit=transmit, control=control, t_max=t_max)
+    def check(self, interval, psi_row):
+        jp = sl.JointPolicy(np.array([interval]), 4, np.ones((1, 4), dtype=np.int64))
+        assert jp.transmit.tolist() == [psi_row]
+        assert sl.extract_sigma(jp).intervals.tolist() == [interval]
 
     def test_threshold_row(self):
-        jp = self.make_policy([[0, 0, 0, 1, 1]], 4)
-        assert sl.extract_sigma(jp).intervals[0] == 3
+        self.check(3, [0, 0, 0, 1, 1])
 
     def test_forced_update_only(self):
-        jp = self.make_policy([[0, 0, 0, 0, 1]], 4)
-        assert sl.extract_sigma(jp).intervals[0] == 4
+        self.check(4, [0, 0, 0, 0, 1])
 
     def test_immediate(self):
-        jp = self.make_policy([[0, 1, 1, 1, 1]], 4)
-        assert sl.extract_sigma(jp).intervals[0] == 1
+        self.check(1, [0, 1, 1, 1, 1])
 
 
 class TestPolicyEntropy:
@@ -168,7 +178,7 @@ class TestSolveGoc:
         cfg = small_config(gamma=float(rng.uniform(0.5, 0.97)),
                            beta=float(rng.uniform(0.0, 1.5)))
         jp = sl.solve_goc(model, cfg)
-        got = sl.evaluate_policy_values(model, sl.extract_sigma(jp), jp, cfg)
+        got = sl.evaluate_policy_values(model, jp, cfg)
         want = brute_force_best(trans, reward, cfg.gamma, cfg.beta, cfg.t_max)
         assert np.abs(got - want).max() < 1e-8
 
@@ -176,18 +186,18 @@ class TestSolveGoc:
 class TestSolvePeriodic:
     def test_identity_prefers_longest(self):
         model = estimation_model(np.eye(4))
-        period, _ = sl.solve_periodic(model, small_config(beta=1.0))
-        assert period == 3
+        jp = sl.solve_periodic(model, small_config(beta=1.0))
+        assert (jp.intervals == 3).all()
 
     def test_free_information_prefers_shortest(self):
         model = estimation_model(ring_matrix([1, 2], 5, [0.6, 0.4]))
-        period, _ = sl.solve_periodic(model, small_config(beta=0.0))
-        assert period == 1
+        jp = sl.solve_periodic(model, small_config(beta=0.0))
+        assert (jp.intervals == 1).all()
 
     def test_goc_dominates(self, est_cell):
         m, cfg = est_cell.model, est_cell.planner
-        vg = sl.evaluate_policy(m, est_cell.sigma_goc, est_cell.goc, cfg)
-        vp = sl.evaluate_policy(m, est_cell.sigma_pp, est_cell.pp_policy, cfg)
+        vg = sl.evaluate_policy(m, est_cell.goc, cfg)
+        vp = sl.evaluate_policy(m, est_cell.pp_policy, cfg)
         assert vg >= vp - 2e-9
 
     def test_brute_force_restricted(self):
@@ -195,12 +205,12 @@ class TestSolvePeriodic:
         trans = random_stochastic(rng, 1, 4)
         model = estimation_model(trans[0])
         cfg = small_config(beta=0.7)
-        period, jp = sl.solve_periodic(model, cfg)
+        period = int(sl.solve_periodic(model, cfg).intervals[0])
         vals = {}
         for t in (1, 2, 3):
             sigma = sl.SchedulingFunction(np.full(4, t), t_max=3)
             policy = sl.best_control_for_sigma(model, sigma, cfg)
-            vals[t] = sl.evaluate_policy(model, sigma, policy, cfg)
+            vals[t] = sl.evaluate_policy(model, policy, cfg)
         assert vals[period] == pytest.approx(max(vals.values()), abs=1e-9)
 
 
@@ -219,7 +229,7 @@ class TestBestControlForSigma:
         sigma = sl.SchedulingFunction(taus, t_max=3)
         jp = sl.best_control_for_sigma(model, sigma, cfg)
         assert np.array_equal(sl.extract_sigma(jp).intervals, taus)
-        got = sl.evaluate_policy_values(model, sigma, jp, cfg)
+        got = sl.evaluate_policy_values(model, jp, cfg)
         want = brute_force_for_schedule(trans, reward, cfg.gamma, cfg.beta, taus)
         assert np.abs(got - want).max() < 1e-8
 
@@ -306,17 +316,16 @@ class TestEvaluatePolicy:
         model = estimation_model(np.eye(4))
         cfg = small_config(beta=0.0)
         jp = sl.solve_goc(model, cfg)
-        value = sl.evaluate_policy(model, sl.extract_sigma(jp), jp, cfg)
+        value = sl.evaluate_policy(model, jp, cfg)
         assert value == pytest.approx(1 / (1 - cfg.gamma), rel=1e-9)
 
     def test_rare_transmission_beats_frequent_on_identity(self):
         model = estimation_model(np.eye(4))
         cfg = small_config(beta=0.5)
         jp = sl.solve_goc(model, cfg)
-        late = sl.SchedulingFunction(np.full(4, 3), t_max=3)
-        early = sl.SchedulingFunction(np.full(4, 1), t_max=3)
-        assert sl.evaluate_policy(model, late, jp, cfg) \
-            > sl.evaluate_policy(model, early, jp, cfg)
+        late = sl.JointPolicy(np.full(4, 3), 3, jp.control)
+        early = sl.JointPolicy(np.full(4, 1), 3, jp.control)
+        assert sl.evaluate_policy(model, late, cfg) > sl.evaluate_policy(model, early, cfg)
 
     def test_monotone_in_beta(self):
         rng = np.random.default_rng(21)
@@ -324,7 +333,7 @@ class TestEvaluatePolicy:
         model = estimation_model(trans[0])
         sigma = sl.SchedulingFunction(rng.integers(1, 4, size=5), t_max=3)
         jp = sl.best_control_for_sigma(model, sigma, small_config())
-        values = [sl.evaluate_policy(model, sigma, jp, small_config(beta=b))
+        values = [sl.evaluate_policy(model, jp, small_config(beta=b))
                   for b in (0.0, 0.5, 1.0, 2.0)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -334,9 +343,8 @@ class TestEvaluatePolicy:
         model = estimation_model(trans[0])
         cfg = small_config(beta=0.4, gamma=0.9)
         jp = sl.solve_goc(model, cfg)
-        sigma = sl.extract_sigma(jp)
-        value = sl.evaluate_policy(model, sigma, jp, cfg)
-        mc, se = monte_carlo_return(trans, None, sigma.intervals, jp.control,
+        value = sl.evaluate_policy(model, jp, cfg)
+        mc, se = monte_carlo_return(trans, None, jp.intervals, jp.control,
                                     cfg.gamma, cfg.beta, n_episodes=4000,
                                     horizon=200, seed=7)
         assert abs(value - mc) < 3 * se
@@ -350,9 +358,8 @@ class TestEvaluatePolicy:
                                task_reward=reward)
         cfg = small_config(beta=0.4, gamma=0.9)
         jp = sl.solve_goc(model, cfg)
-        sigma = sl.extract_sigma(jp)
-        value = sl.evaluate_policy(model, sigma, jp, cfg)
-        mc, se = monte_carlo_return(trans, reward, sigma.intervals, jp.control,
+        value = sl.evaluate_policy(model, jp, cfg)
+        mc, se = monte_carlo_return(trans, reward, jp.intervals, jp.control,
                                     cfg.gamma, cfg.beta, n_episodes=4000,
                                     horizon=200, seed=8)
         assert abs(value - mc) < 3 * se
@@ -400,9 +407,8 @@ class TestOccupancyDistribution:
         guesses = np.ones((30, 10), dtype=np.int64)
         for _ in range(5):
             taus = rng.integers(1, 11, size=30)
-            sigma = sl.SchedulingFunction(taus, t_max=10)
-            jp = sl.JointPolicy.from_intervals(taus, guesses, 10)
-            occ = sl.occupancy_distribution(model, sigma, jp)
+            jp = sl.JointPolicy(taus, 10, guesses)
+            occ = sl.occupancy_distribution(model, jp)
             assert np.abs(occ - mu).max() < 1e-12
 
     @pytest.mark.parametrize("trial", range(4))
@@ -415,9 +421,8 @@ class TestOccupancyDistribution:
                                task_reward=rng.random(n))
         taus = rng.integers(1, t_max + 1, size=n)
         control = rng.integers(0, na, size=(n, t_max))
-        sigma = sl.SchedulingFunction(taus, t_max=t_max)
-        jp = sl.JointPolicy.from_intervals(taus, control, t_max)
-        occ = sl.occupancy_distribution(model, sigma, jp)
+        jp = sl.JointPolicy(taus, t_max, control)
+        occ = sl.occupancy_distribution(model, jp)
         assert np.abs(occ - renewal_occupancy(trans, taus, control)).max() < 1e-10
 
     @pytest.mark.parametrize("trial", range(3))
@@ -435,29 +440,31 @@ class TestOccupancyDistribution:
         control = rng.integers(0, na, size=(n, t_max))
         renewal = sl.segment_beliefs(model, control, t_max)[np.arange(n), taus]
         assert not renewal[:2, :2].any() and not renewal[2:, 2:].any()
-        sigma = sl.SchedulingFunction(taus, t_max=t_max)
-        jp = sl.JointPolicy.from_intervals(taus, control, t_max)
-        occ = sl.occupancy_distribution(model, sigma, jp)
+        jp = sl.JointPolicy(taus, t_max, control)
+        occ = sl.occupancy_distribution(model, jp)
         assert np.abs(occ - renewal_occupancy(trans, taus, control)).max() < 1e-10
 
 
 class TestScheduleCheck:
     @pytest.mark.parametrize("scenario", list(sl.Scenario))
-    @pytest.mark.parametrize("call", ["best_control_for_sigma", "evaluate_policy_values",
-                                      "pde_packing_steps", "occupancy_distribution"])
-    @pytest.mark.parametrize("intervals, t_max, pattern", [
-        ([1, 2, 3, 4, 2], 4, r"schedule has 5 intervals.*num_states=6"),
-        ([1, 2, 3, 4, 2, 1], 5, r"sigma t_max 5 .* t_max 4")], ids=["length", "t_max"])
-    def test_mismatched_schedule_rejected(self, scenario, call, intervals, t_max, pattern):
+    # a policy carries its own t_max, so occupancy has no planner's to mismatch
+    @pytest.mark.parametrize("case, call", [
+        (case, call) for case in ("length", "t_max")
+        for call in ("best_control_for_sigma", "evaluate_policy_values",
+                     "pde_packing_steps", "occupancy_distribution")
+        if (case, call) != ("t_max", "occupancy_distribution")])
+    def test_mismatched_schedule_rejected(self, scenario, case, call):
+        intervals, t_max, pattern = {
+            "length": ([1, 2, 3, 4, 2], 4, r"schedule has 5 intervals.*num_states=6"),
+            "t_max": ([1, 2, 3, 4, 2, 1], 5, r"sigma t_max 5 .* t_max 4")}[case]
         model = sl.build_model(8.0, 6, scenario)
         cfg = small_config(t_max=4)
-        sigma = sl.SchedulingFunction(np.array(intervals), t_max=t_max)
-        jp = sl.JointPolicy.from_intervals(np.array([1, 2, 3, 4, 2, 1]),
-                                           np.ones((6, 4), dtype=np.int64), 4)
-        args = {"best_control_for_sigma": (model, sigma, cfg),
-                "evaluate_policy_values": (model, sigma, jp, cfg),
-                "pde_packing_steps": (sigma, model, cfg),
-                "occupancy_distribution": (model, sigma, jp)}[call]
+        jp = sl.JointPolicy(np.array(intervals), t_max,
+                            np.ones((len(intervals), t_max), dtype=np.int64))
+        args = {"best_control_for_sigma": (model, jp, cfg),
+                "evaluate_policy_values": (model, jp, cfg),
+                "pde_packing_steps": (jp, model, cfg),
+                "occupancy_distribution": (model, jp)}[call]
         with pytest.raises(ValueError, match=pattern):
             getattr(sl, call)(*args)
 
@@ -474,3 +481,10 @@ class TestSerialization:
         back = sl.policy_from_json(sl.policy_to_json(est_cell.goc))
         assert np.array_equal(sl.extract_sigma(back).intervals,
                               est_cell.sigma_goc.intervals)
+
+    def test_psi_of_other_sigma_rejected(self):
+        doc = json.loads(sl.policy_to_json(
+            sl.JointPolicy(np.array([2, 3]), 4, np.zeros((2, 4), dtype=np.int64))))
+        doc["sigma"] = [4, 4]
+        with pytest.raises(ValueError, match="psi is not the transmit map of sigma"):
+            sl.policy_from_json(json.dumps(doc))

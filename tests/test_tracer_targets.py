@@ -74,9 +74,9 @@ def test_parser_resolves_aliases_and_reports_missing(tmp_path):
                    "TARGETS = [(policy, 'solve_goc', 'a', None),\n"
                    "           (Est, 'observe', 'b', None),\n"
                    "           (eavesdropper.SegmentModel, 'goal_oriented', 'c', None),\n"
-                   "           (policy.JointPolicy, 'from_intervals', 'd', None)]\n")
+                   "           (policy.JointPolicy, 'transmit', 'd', None)]\n")
     targets = tracer_targets(src)
     assert targets == [("policy", "solve_goc"), ("eavesdropper.EveEstimator", "observe"),
                        ("eavesdropper.SegmentModel", "goal_oriented"),
-                       ("policy.JointPolicy", "from_intervals")]
+                       ("policy.JointPolicy", "transmit")]
     assert missing_targets(targets) == ["eavesdropper.SegmentModel.goal_oriented"]
