@@ -91,6 +91,14 @@ def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
+def _whole(value, key: str) -> int:
+    """A JSON whole number (an int, or a float with an integral value) as an
+    int; anything else is a config error that names ``key``."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be a whole number, got {value!r}")
+
+
 def _scenario(cfg: dict) -> Scenario:
     name = str(cfg["model"]["scenario"]).lower()
     try:
@@ -120,12 +128,12 @@ def _base_episode_config(cfg: dict, theta: float, beta: float, d_gap: int,
             theta=float(theta),
             beta=float(beta),
             gamma=float(cfg["planner"]["gamma"]),
-            t_max=int(cfg["planner"]["t_max"]),
-            d_gap=int(d_gap),
-            n_steps=int(cfg["simulation"]["n_steps"]),
-            seed=int(seed),
+            t_max=_whole(cfg["planner"]["t_max"], "planner.t_max"),
+            d_gap=_whole(d_gap, "simulation.d_gap"),
+            n_steps=_whole(cfg["simulation"]["n_steps"], "simulation.n_steps"),
+            seed=seed,
             policy_kind=kind,
-            num_states=int(cfg["model"]["num_states"]),
+            num_states=_whole(cfg["model"]["num_states"], "model.num_states"),
             l_low=float(cfg["defense"]["l_low"]),
             l_high=float(cfg["defense"]["l_high"]),
             target_entropy_fraction=float(cfg["defense"]["target_entropy_fraction"]),
@@ -207,9 +215,9 @@ def _simulate_cell_task(payload):
 def cmd_simulate(cfg: dict, out_dir: Path, seed: int, workers: int) -> int:
     thetas = _as_list(cfg["model"]["theta"])
     betas = _as_list(cfg["planner"]["beta"])
-    d_gaps = [int(d) for d in _as_list(cfg["simulation"]["d_gap"])]
+    d_gaps = [_whole(d, "simulation.d_gap") for d in _as_list(cfg["simulation"]["d_gap"])]
     kind_names = [PolicyKind(k).value for k in cfg["simulation"]["policies"]]
-    n_episodes = int(cfg["simulation"]["n_episodes"])
+    n_episodes = _whole(cfg["simulation"]["n_episodes"], "simulation.n_episodes")
     # every cell's config is checked before any cell is solved
     payloads = [(_base_episode_config(cfg, t, b, d_gaps[0], seed, PolicyKind(kind_names[0])),
                  t, b, d_gaps, kind_names, n_episodes) for t in thetas for b in betas]
@@ -237,9 +245,10 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed: int, workers: int) -> int:
 def cmd_pareto(cfg: dict, out_dir: Path, seed: int, workers: int) -> int:
     thetas = _as_list(cfg["model"]["theta"])
     betas = _as_list(cfg["planner"]["beta"])
-    d_gap = int(_as_list(cfg["simulation"]["d_gap"])[0])
+    d_gap = _as_list(cfg["simulation"]["d_gap"])[0]
     base = _base_episode_config(cfg, thetas[0], betas[0], d_gap, seed,
                                 PolicyKind.MPI)
+    n_episodes = _whole(cfg["simulation"]["n_episodes"], "simulation.n_episodes")
     log.info("frontier for theta=%g, beta=%g (the first of the grid)",
              base.theta, base.beta)
     try:  # pareto_sweep checks every grid point before it solves the cell
@@ -247,7 +256,7 @@ def cmd_pareto(cfg: dict, out_dir: Path, seed: int, workers: int) -> int:
             base,
             ade_lows=cfg["defense"]["ade_l_low_grid"],
             pde_fractions=cfg["defense"]["pde_fraction_grid"],
-            n_episodes=int(cfg["simulation"]["n_episodes"]))
+            n_episodes=n_episodes)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     artifacts = {}
@@ -294,7 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg["simulation"]["seed"])
+        seed = args.seed if args.seed is not None else _whole(cfg["simulation"]["seed"],
+                                                              "simulation.seed")
         cfg["simulation"]["seed"] = seed
         out_dir = Path(args.out if args.out is not None else cfg["output"]["dir"])
         out_dir.mkdir(parents=True, exist_ok=True)

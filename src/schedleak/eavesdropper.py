@@ -18,8 +18,10 @@ against trajectory enumeration on asymmetric chains) and is not used.
 
 Knowledge granted to the listener: the process dynamics, the applied
 control plan(s), the schedule of every regime in force, and which regime
-scheduled each interval (regime switches are a deterministic function of
-the public timing history, so this adds no power beyond worst case).
+scheduled each interval.  Regime switches are not a function of the public
+timing history alone (the adaptive defense forecasts the interval of the
+true state), so the regimes are given to the listener, which does not use
+the switches themselves as evidence about the state.
 """
 
 from __future__ import annotations
@@ -113,9 +115,25 @@ class EveEstimator:
 
     Cost: backward vectors depend only on later intervals, so they are
     made lazily from the last request downwards and only as far as a
-    query reaches (fixed-lag smoothing).  A belief or leakage query costs
-    work proportional to the requests inside its window, not to the
-    length of the episode; ``backward_vectors`` counts the vectors made.
+    query reaches (fixed-lag smoothing).  With a flat boundary at the last
+    request K, the posterior at an instant depends on the horizon only
+    through K, so each (K, instant) belief is made once, with its
+    certainty, and kept in a memo that later queries read; a query costs
+    work proportional to the requests inside the part of its window not
+    made before, never to the length of the episode.  ``observe`` keeps
+    only the entries and the backward tail of the K it closes, and
+    ``set_active`` drops the memo when the regime changes, since the open
+    segment's beliefs depend on it.  Memoised beliefs are read-only.
+
+    ``clone`` shares the memo and the backward tails; ``observe`` and
+    ``set_active`` rebind them rather than clear them, so a clone's
+    hypothetical intervals never reach the original's entries, while what
+    a clone makes for the K they share (same history, same regime) is
+    reused by the original.  ``backward_vectors`` counts the vectors made,
+    ``beliefs_made`` the beliefs made and ``beliefs_reused`` the beliefs a
+    query read from the memo.  A clone starts from its original's counts
+    and counts its own work from then on, even when the original later
+    reuses what the clone made.
     """
 
     def __init__(self, model: MarkovModel, active: SegmentModel,
@@ -135,14 +153,20 @@ class EveEstimator:
         self.log_norms = [0.0]
         self.min_forward_norm = math.inf
         self.backward_vectors = 0
+        self.beliefs_made = 0
+        self.beliefs_reused = 0
         # per last request index K: [b_K, b_{K-1}, ...] as far as computed
         self._backward_cache: dict[int, list[np.ndarray]] = {}
+        # per last request index K: {instant: (belief, certainty)}
+        self._memo: dict[int, dict[int, tuple[np.ndarray, float]]] = {}
 
     # -- observation ------------------------------------------------------
 
     def set_active(self, segment_model: SegmentModel) -> None:
         """Declare the regime that schedules the currently open segment."""
-        self.active = segment_model
+        if segment_model is not self.active:
+            self.active = segment_model
+            self._memo = {}
 
     def observe(self, tau: int) -> "EveEstimator":
         """Consume the next interval; it closes the currently open segment."""
@@ -154,13 +178,16 @@ class EveEstimator:
         norm = nxt.sum()
         if norm <= 0.0:
             raise InconsistentTimingError(len(self.intervals) + 1, tau)
+        k = len(self.intervals)                  # the request that opened it
         self.intervals.append(int(tau))
         self.segment_models.append(self.active)
         self.times.append(self.times[-1] + int(tau))
         self.forwards.append(nxt / norm)
         self.log_norms.append(self.log_norms[-1] + math.log(norm))
         self.min_forward_norm = min(self.min_forward_norm, float(norm))
-        self._backward_cache.clear()
+        # what is known for K = k stays valid; rebinding leaves a clone's dicts alone
+        self._memo = {k: self._memo.setdefault(k, {})}
+        self._backward_cache = {k: self._backward_cache.setdefault(k, [])}
         return self
 
     def clone(self) -> "EveEstimator":
@@ -176,7 +203,10 @@ class EveEstimator:
         dup.log_norms = list(self.log_norms)
         dup.min_forward_norm = self.min_forward_norm
         dup.backward_vectors = self.backward_vectors
-        dup._backward_cache = {}
+        dup.beliefs_made = self.beliefs_made
+        dup.beliefs_reused = self.beliefs_reused
+        dup._backward_cache = self._backward_cache
+        dup._memo = self._memo
         return dup
 
     # -- smoothing --------------------------------------------------------
@@ -198,18 +228,17 @@ class EveEstimator:
 
         K is the last request at or before ``horizon``, and element i of
         the list is b_{down_to+i}; the default returns b_0..b_K.  Vectors
-        are kept per K until the next ``observe``, and a call computes
-        only those below what earlier calls for the same K reached, so
-        asking down to the requests inside a window costs those requests
-        alone.
+        are kept per K (``observe`` keeps those of the K it closes), and a
+        call computes only those below what earlier calls for the same K
+        reached, so asking down to the requests inside a window costs
+        those requests alone.
         """
         k_last = self.last_index(horizon)
         if not 0 <= down_to <= k_last:
             raise ValueError(f"down_to {down_to} outside 0..{k_last}")
-        tail = self._backward_cache.get(k_last)
-        if tail is None:
-            tail = [np.full(self.num_states, 1.0 / self.num_states)]
-            self._backward_cache[k_last] = tail
+        tail = self._backward_cache.setdefault(k_last, [])
+        if not tail:
+            tail.append(np.full(self.num_states, 1.0 / self.num_states))
             self.backward_vectors += 1
         for k in range(k_last - len(tail), down_to - 1, -1):
             seg = self.segment_models[k]          # model of interval k+1
@@ -247,56 +276,73 @@ class EveEstimator:
         raw = self.forwards[k] @ seg.prefix_rows(ell)
         return raw / raw.sum()
 
-    def _beliefs(self, horizon: int, top: int, bottom: int):
-        """Posteriors at times top, top-1, ..., bottom in one pass.
+    def _beliefs(self, horizon: int, instants: list[int]):
+        """Posteriors at ``instants`` (descending, none after ``horizon``)
+        in one pass.
 
-        One backward call covers the window; the segment of each instant
-        is found by walking down ``times`` from the horizon's last request.
+        One backward call covers them; the segment of each instant is
+        found by walking down ``times`` from the horizon's last request.
         """
-        k_last = self.last_index(horizon)
+        k = k_last = self.last_index(horizon)
         times = self.times
-        m = top
-        while m >= bottom and m >= times[k_last]:
-            yield self._forward_only(k_last, m - times[k_last])
-            m -= 1
-        if m < bottom:
-            return
-        low = bisect.bisect_right(times, bottom) - 1
-        if times[low] < bottom:
-            low += 1                     # interior points need b of the segment end
-        vecs = self.backward(horizon, down_to=low)
-        k = k_last - 1
-        while m >= bottom:
+        vecs = None
+        for m in instants:
+            if m >= times[k_last]:
+                yield self._forward_only(k_last, m - times[k_last])
+                continue
+            if vecs is None:
+                bottom = instants[-1]
+                low = bisect.bisect_right(times, bottom) - 1
+                if times[low] < bottom:
+                    low += 1             # interior points need b of the segment end
+                vecs = self.backward(horizon, down_to=low)
             while times[k] > m:
                 k -= 1
             if times[k] == m:
                 yield self._at_request(k, vecs[k - low])
             else:
                 yield self._interior(k, m - times[k], vecs[k + 1 - low])
-            m -= 1
+
+    def _points(self, horizon: int, top: int, bottom: int) -> list[tuple[np.ndarray, float]]:
+        """(belief, certainty) at times top, top-1, ..., bottom, read from
+        the memo of the horizon's last request; missing ones are made in
+        one ``_beliefs`` pass and memoised."""
+        memo = self._memo.setdefault(self.last_index(horizon), {})
+        instants = range(top, bottom - 1, -1)
+        missing = [m for m in instants if m not in memo]
+        for m, belief in zip(missing, self._beliefs(horizon, missing)):
+            belief.flags.writeable = False
+            memo[m] = (belief, certainty(belief))
+            self.beliefs_made += 1
+        self.beliefs_reused += len(instants) - len(missing)
+        return [memo[m] for m in instants]
+
+    def _window(self, horizon: int, gap: int) -> list[tuple[np.ndarray, float]]:
+        if gap < 0:
+            raise ValueError("gap must be nonnegative")
+        return self._points(horizon, horizon, horizon - min(gap, horizon))
 
     def belief_at_time(self, horizon: int, delay: int) -> np.ndarray:
-        """Posterior of the state at time ``horizon - delay``."""
+        """Posterior of the state at time ``horizon - delay`` (read-only)."""
         m = horizon - delay
         if m < 0:
             raise ValueError("horizon - delay must be nonnegative")
-        return next(self._beliefs(horizon, m, m))
+        return self._points(horizon, m, m)[0][0]
 
     def window(self, horizon: int, gap: int) -> list[np.ndarray]:
         """Posteriors at ``horizon, horizon-1, ..., horizon-min(gap, horizon)``.
 
-        Element d is ``belief_at_time(horizon, d)``, made in one pass whose
-        cost is proportional to the requests inside the window.
+        Element d is ``belief_at_time(horizon, d)``; the beliefs not in the
+        memo are made in one pass whose cost is proportional to the
+        requests among them.
         """
-        if gap < 0:
-            raise ValueError("gap must be nonnegative")
-        return list(self._beliefs(horizon, horizon, horizon - min(gap, horizon)))
+        return [belief for belief, _ in self._window(horizon, gap)]
 
     # -- metrics ----------------------------------------------------------
 
     def leakage(self, horizon: int, gap: int) -> float:
         """Best certainty over the trailing opacity window, floored at 0."""
-        return max(0.0, *map(certainty, self.window(horizon, gap)))
+        return max(0.0, *(c for _, c in self._window(horizon, gap)))
 
 
 def certainty(belief: np.ndarray) -> float:

@@ -444,7 +444,10 @@ def policy_from_json(text: str) -> JointPolicy:
     ``t_max`` and ``pi``; raises unless ``psi`` is the transmit map of
     ``sigma``."""
     doc = json.loads(text)
-    jp = JointPolicy(np.array(doc["sigma"]), int(doc["t_max"]), np.array(doc["pi"]))
+    t_max = doc["t_max"]
+    if not (type(t_max) is int or isinstance(t_max, float) and t_max.is_integer()):
+        raise ValueError(f"t_max must be a whole number, got {t_max!r}")
+    jp = JointPolicy(np.array(doc["sigma"]), int(t_max), np.array(doc["pi"]))
     if not np.array_equal(np.array(doc["psi"]), jp.transmit):
         raise ValueError("psi is not the transmit map of sigma")
     return jp

@@ -280,25 +280,25 @@ def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
             task_rewards[n] = 1.0 if a == s + 1 else 0.0
         else:
             task_rewards[n] = model.task_reward[s]
-        # the window at n holds the leakage at n and the delayed guess of s(n-gap)
-        window = est.window(n, gap)
-        leakages[n] = max(0.0, *map(eavesdropper.certainty, window))
+        # the leakage at n is over the window at n, whose oldest belief guesses s(n-gap)
+        leakages[n] = est.leakage(n, gap)
         if n >= gap:
-            guesses[n - gap] = np.argmax(window[gap])
+            guesses[n - gap] = np.argmax(est.belief_at_time(n, gap))
         modes[n] = label
         matrix_index = 0 if model.num_actions == 1 else a
         s = draw(sol.cdf[matrix_index, s])
 
     comm_rewards = -cfg.beta * transmits.astype(float)
     # guesses the episode end cuts short are made at its last step
-    for d, bel in enumerate(window[:gap]):
+    for d, bel in enumerate(est.window(n_steps - 1, gap)[:gap]):
         guesses[n_steps - 1 - d] = np.argmax(bel)
     truncated = np.arange(n_steps) + gap > n_steps - 1
     eve_hits = (guesses + 1 == states).astype(np.int64)
     log.debug("listener: %s episode, %d steps, %d requests observed, "
-              "%d backward vectors, trace log-likelihood %.6g, "
-              "smallest forward normaliser %.3g", kind.value, n_steps,
-              len(est.times), est.backward_vectors, est.log_norms[-1],
+              "%d backward vectors, %d beliefs made, %d reused, "
+              "trace log-likelihood %.6g, smallest forward normaliser %.3g",
+              kind.value, n_steps, len(est.times), est.backward_vectors,
+              est.beliefs_made, est.beliefs_reused, est.log_norms[-1],
               est.min_forward_norm)
 
     record = EpisodeRecord(states=states, actions=actions, transmits=transmits,

@@ -80,6 +80,36 @@ class TestConfig:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("solve", "planner", "t_max", 2.5),
+        ("solve", "model", "num_states", 12.5),
+        ("solve", "simulation", "n_steps", 30.5),
+        ("simulate", "simulation", "n_episodes", 1.9),
+        ("simulate", "simulation", "n_episodes", "three"),
+        ("pareto", "simulation", "n_episodes", 2.5),
+        ("simulate", "simulation", "d_gap", [3, 2.7]),
+        ("solve", "simulation", "seed", 5.5),
+    ], ids=["t_max", "num_states", "n_steps", "n_episodes", "n_episodes-text",
+            "pareto-n_episodes", "d_gap", "seed"])
+    def test_whole_number_fields(self, tmp_path, capsys, monkeypatch, command, section,
+                                 key, value):
+        """A fractional or non-numeric count is a config error naming its key,
+        not a truncation or a traceback."""
+        def forbidden(cfg):
+            raise AssertionError("cell solved before the config was checked")
+        monkeypatch.setattr(simulate, "CellSolution", forbidden)
+        cfg = write_config(tmp_path, **{section: {key: value}})
+        rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{section}.{key} must be a whole number" in capsys.readouterr().err
+
+    def test_whole_floats_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, planner={"t_max": 4.0}, simulation={"seed": 5.0})
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        jp = sl.policy_from_json(next(out.glob("policy_MPI_*.json")).read_text())
+        assert jp.t_max == 4
+
     def test_defaults_match_episode_config(self):
         """A key the CLI shares with ``EpisodeConfig`` has the same default."""
         fields = {f.name: f.default for f in dataclasses.fields(sl.EpisodeConfig)}

@@ -70,6 +70,17 @@ def alternating_instance(rng, control, n_requests=10):
         yield est
 
 
+def rebuilt(est):
+    """A new listener fed ``est``'s intervals under the same regimes: the
+    same history, with no memoised belief and no backward vector."""
+    fresh = sl.EveEstimator(est.model, active=est.active, prior=est.prior)
+    for seg, tau in zip(est.segment_models, est.intervals):
+        fresh.set_active(seg)
+        fresh.observe(tau)
+    fresh.set_active(est.active)
+    return fresh
+
+
 def eager_backward(est, horizon):
     """Every backward vector from the flat boundary down to request 0."""
     k_last = bisect.bisect_right(est.times, horizon) - 1
@@ -151,7 +162,7 @@ class TestBackward:
             for h in range(est.times[-1] + est.active.t_max + 1):
                 k_last = est.last_index(h)
                 want = eager_backward(est, h)
-                fresh = est.clone().backward(h)
+                fresh = rebuilt(est).backward(h)
                 assert all(np.array_equal(a, b) for a, b in zip(fresh, want))
                 for down_to in rng.permutation(k_last + 1)[:3]:
                     got = est.backward(h, down_to=int(down_to))
@@ -305,7 +316,7 @@ class TestLeakage:
         h0 = math.log2(est.num_states)
         for h in range(est.times[-1] + 1):
             for gap in (0, 3, 7):
-                ref = est.clone()
+                ref = rebuilt(est)
                 beliefs = [ref.belief_at_time(h, d) for d in range(min(gap, h) + 1)]
                 window = est.window(h, gap)
                 assert len(window) == len(beliefs)
@@ -324,6 +335,92 @@ class TestLeakage:
             est.leakage(20, 0)
         with pytest.raises(ValueError, match=pattern):
             est.belief_at_time(20, 0)
+
+
+class TestMemo:
+    def test_memoised_beliefs_are_read_only(self):
+        rng = np.random.default_rng(71)
+        for est in alternating_instance(rng, control=True, n_requests=3):
+            pass
+        h = est.times[-1]
+        with pytest.raises(ValueError, match="read-only"):
+            est.window(h, 2)[0][0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            est.belief_at_time(h, 1)[:] = 0.0
+        assert np.array_equal(est.window(h, 2)[0], rebuilt(est).window(h, 2)[0])
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_each_point_made_once_per_last_request(self, trial):
+        """Overlapping windows of one K make each instant once; a new
+        request or a new regime makes the open segment's points again."""
+        rng = np.random.default_rng(4000 + trial)
+        est = next(alternating_instance(rng, control=trial % 2 == 1, n_requests=1))
+        h, t_max = est.times[-1], est.active.t_max
+        for top in range(h, h + t_max + 1):
+            before = est.beliefs_made
+            est.window(top, 3)
+            assert est.beliefs_made - before == (min(3, top) + 1 if top == h else 1)
+        reads = est.beliefs_reused
+        est.leakage(h + t_max, 3)
+        assert est.beliefs_reused - reads == 4 and est.beliefs_made - before == 1
+        est.set_active(est.active)             # the same regime keeps the memo
+        est.leakage(h + t_max, 3)
+        assert est.beliefs_made - before == 1
+        other = sl.SegmentModel(est.model, est.active.taus, est.active.control, t_max)
+        est.set_active(other)                  # another regime starts over
+        est.leakage(h + t_max, 3)
+        assert est.beliefs_made - before == 5
+
+    @pytest.mark.parametrize("probe", ["other interval", "other regime"])
+    def test_probe_leaves_parent_bit_identical(self, ctl_cell, probe):
+        """A clone shares the memo and backward tails of its original; what
+        it observes afterwards never changes the original's later windows."""
+        gap, n_steps = 4, 90
+        cfg = sl.EpisodeConfig(scenario=sl.Scenario.CONTROL, policy_kind=sl.PolicyKind.ADE,
+                               d_gap=gap, n_steps=n_steps, seed=3)
+        rec, _ = sl.run_episode(cfg, ctl_cell)
+        regimes = {"goc": ctl_cell.seg_goc, "periodic": ctl_cell.seg_pp}
+        prior = ctl_cell.occupancy(sl.PolicyKind.ADE)
+        probed, plain = (sl.EveEstimator(ctl_cell.model, active=ctl_cell.seg_goc, prior=prior)
+                         for _ in range(2))
+        requests = np.flatnonzero(rec.transmits).tolist()
+        probes = 0
+
+        def probe_once(n):
+            nonlocal probes
+            seg, s = probed.active, int(rec.states[n]) - 1
+            if probe == "other regime":
+                other = regimes["periodic" if seg is ctl_cell.seg_goc else "goc"]
+                taus = [int(other.taus[s])]
+            else:
+                other = seg
+                live = probed.forwards[-1] > 0
+                taus = sorted({int(t) for t in seg.taus[live]} - {int(seg.taus[s])})
+            for tau in taus[:1]:
+                dup = probed.clone()
+                dup.set_active(other)
+                dup.observe(tau)
+                for h in range(dup.times[-2] + 1, dup.times[-1] + 1):
+                    dup.leakage(h, gap)
+                probes += 1
+
+        for n in range(n_steps):
+            if n in requests:
+                for est in (probed, plain):
+                    if n > 0:
+                        est.observe(n - est.times[-1])
+                    est.set_active(regimes[rec.modes[n]])
+                probe_once(n)
+            a, b = probed.window(n, gap), plain.window(n, gap)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b)), n
+            assert probed.leakage(n, gap) == plain.leakage(n, gap) == rec.leakages[n], n
+            if n in requests:
+                probe_once(n)
+        assert probes > len(requests) // 2
+        if probe == "other regime":    # nothing of the open segment is shared
+            assert probed.beliefs_made == plain.beliefs_made
+        else:                          # the probes made some of the original's points
+            assert probed.beliefs_made < plain.beliefs_made
 
 
 class TestMinLeakage:

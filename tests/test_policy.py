@@ -488,3 +488,12 @@ class TestSerialization:
         doc["sigma"] = [4, 4]
         with pytest.raises(ValueError, match="psi is not the transmit map of sigma"):
             sl.policy_from_json(json.dumps(doc))
+
+    def test_fractional_t_max_rejected(self):
+        doc = json.loads(sl.policy_to_json(
+            sl.JointPolicy(np.array([2, 3]), 4, np.zeros((2, 4), dtype=np.int64))))
+        doc["t_max"] = 4.0
+        assert sl.policy_from_json(json.dumps(doc)).t_max == 4
+        doc["t_max"] = 4.7
+        with pytest.raises(ValueError, match="t_max must be a whole number, got 4.7"):
+            sl.policy_from_json(json.dumps(doc))

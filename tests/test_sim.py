@@ -10,6 +10,7 @@ import pytest
 
 import schedleak as sl
 from conftest import standard_config
+from test_eavesdropper import rebuilt
 from schedleak import markov, policy, simulate
 
 
@@ -104,13 +105,14 @@ class TestEpisode:
         assert len(lines) == 1
         m = re.fullmatch(
             r"listener: ADE episode, 120 steps, (\d+) requests observed, "
-            r"(\d+) backward vectors, trace log-likelihood (\S+), "
-            r"smallest forward normaliser (\S+)", lines[0])
+            r"(\d+) backward vectors, (\d+) beliefs made, (\d+) reused, "
+            r"trace log-likelihood (\S+), smallest forward normaliser (\S+)", lines[0])
         assert m, lines[0]
         assert int(m[1]) == rec.transmits.sum()
         assert int(m[2]) > 0
-        assert float(m[3]) < 0.0
-        assert 0.0 < float(m[4]) <= 1.0
+        assert int(m[3]) > 0 and int(m[4]) > 0
+        assert float(m[5]) < 0.0
+        assert 0.0 < float(m[6]) <= 1.0
 
     def test_backward_work_linear_in_episode_length(self, est_cell, caplog):
         """Fixed-lag smoothing: 4x the steps costs about 4x the vectors."""
@@ -158,6 +160,54 @@ class TestEpisode:
                 assert np.array_equal(rec.leakages, leaks), case
                 assert np.array_equal(rec.eve_hits, hits), case
                 assert np.array_equal(rec.eve_hit_truncated, truncated), case
+
+    @pytest.mark.parametrize("scenario, kind", [
+        (sl.Scenario.CONTROL, sl.PolicyKind.ADE), (sl.Scenario.ESTIMATION, sl.PolicyKind.PDE)])
+    def test_memoised_windows_equal_a_fresh_listener(self, scenario, kind, request,
+                                                     monkeypatch):
+        """Every step's window and leakage, read from a memo that ADE's
+        probes share, equal those of a listener rebuilt from the same
+        intervals with no memo, exactly."""
+        checked = []
+
+        class Checked(sl.EveEstimator):
+            def leakage(self, horizon, gap):
+                got = super().leakage(horizon, gap)
+                fresh = rebuilt(self)
+                assert got == fresh.leakage(horizon, gap), horizon
+                assert all(np.array_equal(a, b) for a, b in
+                           zip(self.window(horizon, gap), fresh.window(horizon, gap)))
+                checked.append(horizon)
+                return got
+
+        monkeypatch.setattr(simulate, "EveEstimator", Checked)
+        sol = request.getfixturevalue(
+            "est_cell" if scenario is sl.Scenario.ESTIMATION else "ctl_cell")
+        cfg = standard_config(scenario=scenario, policy_kind=kind, d_gap=5, n_steps=150,
+                              seed=31)
+        rec, _ = sl.run_episode(cfg, sol)
+        monkeypatch.undo()
+        assert checked == list(range(150))
+        assert np.array_equal(sl.run_episode(cfg, sol)[0].leakages, rec.leakages)
+
+    @pytest.mark.parametrize("gap", [0, 3, 5])
+    def test_no_point_made_twice(self, est_cell, gap, monkeypatch):
+        """An MPI episode makes each (last request, instant) belief once."""
+        listeners = []
+
+        class Recorded(sl.EveEstimator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                listeners.append(self)
+
+        monkeypatch.setattr(simulate, "EveEstimator", Recorded)
+        rec, _ = sl.run_episode(standard_config(d_gap=gap, n_steps=300, seed=17), est_cell)
+        requests = np.flatnonzero(rec.transmits)
+        points = {(int(np.searchsorted(requests, n, side="right")), m)
+                  for n in range(300) for m in range(n - min(gap, n), n + 1)}
+        est = listeners[-1]
+        assert est.beliefs_made == len(points)
+        assert est.beliefs_reused > 0
 
     def test_csv_fixed_columns(self, est_cell):
         rec, _ = sl.run_episode(standard_config(n_steps=20, seed=11), est_cell)
