@@ -12,7 +12,8 @@ forward state is computable exactly.
 The packing defense (PDE) runs offline: starting from the goal-oriented
 schedule it repeatedly applies the single-state deviation that lowers the
 schedule entropy while costing the least reward, until a target entropy
-is reached.  Its output is a plain schedule, usable as a lookup table.
+is reached.  Each accepted schedule comes with its best control table,
+so a step is a policy, usable as a lookup table.
 """
 
 from __future__ import annotations
@@ -99,25 +100,24 @@ def ade_schedule(s: int, ade: AdeState, est: EveEstimator, D: int) -> DefenseMod
 
 
 def _deviation_table(model: MarkovModel, cfg: PlannerConfig,
-                     jp: policy.JointPolicy | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     jp: policy.JointPolicy) -> tuple[np.ndarray, np.ndarray]:
     """Segment reward ``c[s, tau]`` and renewal row ``K[s, tau]`` of every
-    single-state deviation, from ``policy.segment_stats``.
+    single-state deviation of ``jp``, from ``policy.segment_stats``.
 
-    Without ``jp`` (estimation models) this is the MAP table.  With ``jp``
-    optimal for its schedule, a deviation keeps the incumbent plan, truncated
-    or extended greedily toward the stop values of ``jp``; a greedy step
-    depends only on the plan before it, so each plan is extended to
-    ``t_max`` once and shorter extensions are its prefixes.  Each depth
-    extends every plan that has ended by one step, reading the one-step
-    stop values of all actions from the table ``q[:, a] = M_a @ stop``.
+    Estimation models score the guess table of ``jp``, which covers every
+    elapsed time.  On control models, with ``jp`` optimal for its
+    schedule, a deviation keeps the incumbent plan, truncated or extended
+    greedily toward the stop values of ``jp``; a greedy step depends only
+    on the plan before it, so each plan is extended to ``t_max`` once and
+    shorter extensions are its prefixes.  Each depth extends every plan
+    that has ended by one step, reading the one-step stop values of all
+    actions from the table ``q[:, a] = M_a @ stop``.
     """
-    if jp is None:
-        return policy.segment_stats(model, cfg, policy.segment_beliefs(model, None, cfg.t_max),
-                                    None)
+    beliefs = policy.segment_beliefs(model, jp.control, cfg.t_max)
+    if model.num_actions == 1:
+        return policy.segment_stats(model, cfg, beliefs, jp.control)
     stop_vec = -cfg.beta + policy.evaluate_policy_values(model, jp, cfg)
     q = (model.transitions @ stop_vec).T
-    beliefs = policy.segment_beliefs(model, jp.control, cfg.t_max)
     actions = jp.control.copy()
     for t in range(int(jp.intervals.min()), cfg.t_max):
         ext = np.flatnonzero(jp.intervals <= t)
@@ -130,7 +130,7 @@ def _deviation_table(model: MarkovModel, cfg: PlannerConfig,
 def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
                       planner: PlannerConfig, target_entropy: float = 0.0,
                       control: np.ndarray | None = None
-                      ) -> list[tuple[SchedulingFunction, float]]:
+                      ) -> list[tuple[policy.JointPolicy, float]]:
     """Accepted packing deviations, in order, down to the target entropy.
 
     Each step applies the reward-best single-state deviation among those
@@ -143,22 +143,25 @@ def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
     rule (``b = a - 1`` only swaps two counts and is never taken).  A
     candidate's score is the mean renewal value of the evaluation system
     (I - K) v = c with that state's row swapped; all of a step's systems
-    are solved in one stacked call.  Control models re-optimize the plans
-    of each scanned schedule, warm from the previous scan's table;
-    ``control``, a table optimal for ``sigma0`` such as the goal-oriented
-    one, lets the first refresh certify it in one sweep instead of
-    searching; it never changes the result.  Returns [(schedule, entropy)]
-    starting with the input schedule.
+    are solved in one stacked call.
+
+    Every accepted schedule carries its best control table: the first is
+    ``policy.best_control_for_sigma`` of ``sigma0``, where ``control``, a
+    table optimal for ``sigma0`` such as the goal-oriented one, lets the
+    refresh certify it in one sweep instead of searching (it never changes
+    the result).  On control models each later schedule, the last one
+    included, is refreshed warm from the previous step's table; estimation
+    models keep the first step's guess table, which does not depend on the
+    schedule.  Returns [(policy, entropy)] starting with ``sigma0``.
     """
     if target_entropy < 0:
         raise ValueError("target entropy must be nonnegative")
-    policy.check_schedule(model, sigma0, planner.t_max)
     n = model.num_states
-    if model.num_actions == 1:
-        c_tab, k_tab = _deviation_table(model, planner)
-    current = sigma0
+    current = policy.best_control_for_sigma(model, sigma0, planner, control)
     h = policy_entropy(current, n)
     steps = [(current, h)]
+    if model.num_actions == 1:
+        c_tab, k_tab = _deviation_table(model, planner, current)
     scored = 0
     idx = np.arange(n)
     # while h > target >= 0 two intervals are in use, so moving a state from
@@ -166,9 +169,7 @@ def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
     while h > target_entropy:
         taus = current.intervals
         if model.num_actions > 1:
-            jp = policy.best_control_for_sigma(model, current, planner, control)
-            control = jp.control
-            c_tab, k_tab = _deviation_table(model, planner, jp)
+            c_tab, k_tab = _deviation_table(model, planner, current)
         counts = np.bincount(taus, minlength=planner.t_max + 1)
         lowers = counts >= counts[taus][:, None]   # never interval 0: counts[0] = 0
         lowers[idx, taus] = False
@@ -182,6 +183,8 @@ def pde_packing_steps(sigma0: SchedulingFunction, model: MarkovModel,
         scores = np.linalg.solve(a, b[..., None])[..., 0].mean(axis=1)
         best = int(np.argmax(scores))
         current = single_state_deviation(current, int(cand_s[best]) + 1, int(cand_tau[best]))
+        if model.num_actions > 1:
+            current = policy.best_control_for_sigma(model, current, planner, current.control)
         h = policy_entropy(current, n)
         steps.append((current, h))
     log.debug("pde packing: %d steps accepted, %d candidates scored, final entropy %.6g",

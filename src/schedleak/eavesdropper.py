@@ -136,15 +136,10 @@ class EveEstimator:
     reuses what the clone made.
     """
 
-    def __init__(self, model: MarkovModel, active: SegmentModel,
-                 prior: np.ndarray | None = None):
+    def __init__(self, model: MarkovModel, active: SegmentModel, prior: np.ndarray):
         self.model = model
         self.num_states = model.num_states
-        self.prior = np.asarray(prior, dtype=float) if prior is not None \
-            else steady_state(model) if model.num_actions == 1 \
-            else None
-        if self.prior is None:
-            raise ValueError("control models need an explicit prior")
+        self.prior = np.asarray(prior, dtype=float)
         self.active = active
         self.times = [0]
         self.intervals: list[int] = []

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,14 +135,18 @@ def check_schedule(model: MarkovModel, sigma: SchedulingFunction, t_max: int) ->
 
 def single_state_deviation(sigma: SchedulingFunction, s_star: int,
                            tau: int) -> SchedulingFunction:
-    """Copy of sigma with state ``s_star`` (1-indexed) remapped to ``tau``."""
+    """Copy of sigma with state ``s_star`` (1-indexed) remapped to ``tau``.
+
+    The copy keeps the class and every other field, so a deviated
+    ``JointPolicy`` carries the input's control table unchanged.
+    """
     if not 1 <= tau <= sigma.t_max:
         raise ValueError(f"tau {tau} outside 1..{sigma.t_max}")
     if not 1 <= s_star <= len(sigma.intervals):
         raise ValueError(f"state {s_star} out of range")
     intervals = sigma.intervals.copy()
     intervals[s_star - 1] = tau
-    return SchedulingFunction(intervals=intervals, t_max=sigma.t_max)
+    return replace(sigma, intervals=intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +180,18 @@ def segment_beliefs(model: MarkovModel, control: np.ndarray | None,
 
 
 def segment_stats(model: MarkovModel, cfg: PlannerConfig, pre: np.ndarray,
-                  control: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+                  control: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Segment reward ``c[s, tau]`` and renewal rows ``K[s, tau]``, all tau.
 
     ``c = sum_{t<tau} gamma^t R[s, t] - gamma^tau beta`` and
     ``K = gamma^tau pre[s, tau]``, where R is the task reward of the belief
     for control models and the probability of the guessed state for
-    estimation models; a guess table of None means MAP guesses, whose
-    reward is the largest belief entry.  ``pre`` has shape (rows, T+1, S)
-    and ``control`` (rows, T), for any number of rows and any width T.
+    estimation models (for MAP guesses, the largest belief entry).
+    ``pre`` has shape (rows, T+1, S) and ``control`` (rows, T), for any
+    number of rows and any width T.
     """
     gam = cfg.gamma ** np.arange(pre.shape[1])
-    if model.num_actions == 1 and control is None:
-        r = pre[:, :-1].max(axis=2)
-    elif model.num_actions == 1:
+    if model.num_actions == 1:
         r = np.take_along_axis(pre[:, :-1], control[:, :, None] - 1, axis=2)[:, :, 0]
     else:
         r = pre[:, :-1] @ model.task_reward

@@ -179,20 +179,16 @@ class CellSolution:
         return self._pde_steps
 
     def pde(self, fraction: float):
-        """(sigma, policy, segment model) packed to fraction * H(sigma_goc)."""
+        """(policy, policy, segment model) of the first packing step at or
+        below fraction * H(sigma_goc); the policy comes twice, as schedule
+        and as policy, so the triple has the shape of ``regime``."""
         key = round(float(fraction), 12)
         if key not in self._pde_cache:
-            h0 = policy.policy_entropy(self.sigma_goc, self.model.num_states)
-            target = fraction * h0
-            sigma_pde = self.sigma_goc
-            for sig, h in self.pde_steps():
-                sigma_pde = sig
-                if h <= target:
-                    break
-            jp = policy.best_control_for_sigma(self.model, sigma_pde, self.planner,
-                                               init_control=self.goc.control)
-            seg = SegmentModel(self.model, sigma_pde.intervals, jp.control, self.planner.t_max)
-            self._pde_cache[key] = (sigma_pde, jp, seg)
+            steps = self.pde_steps()
+            target = fraction * steps[0][1]
+            jp = next(jp for jp, h in steps if h <= target)
+            seg = SegmentModel(self.model, jp.intervals, jp.control, self.planner.t_max)
+            self._pde_cache[key] = (jp, jp, seg)
         return self._pde_cache[key]
 
     def regime(self, kind: PolicyKind, fraction: float):

@@ -277,7 +277,8 @@ def reference_packing_steps(sigma0, model, planner, target_entropy: float = 0.0)
     steps, tables = [(current, h)], []
     if model.num_actions == 1:
         pre = policy.segment_beliefs(model, None, t_max)
-        c_tab, k_tab = policy.segment_stats(model, planner, pre, None)
+        c_tab, k_tab = policy.segment_stats(model, planner, pre,
+                                            np.argmax(pre[:, :t_max], axis=2) + 1)
     while h > target_entropy:
         taus = current.intervals
         if model.num_actions > 1:

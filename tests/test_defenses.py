@@ -8,6 +8,7 @@ import pytest
 import schedleak as sl
 from schedleak import policy
 from schedleak.defenses import DefenseMode, ade_decide
+from conftest import standard_config
 from oracles import random_stochastic, reference_packing_steps
 from test_markov import estimation_model, ring_matrix
 from test_policy import tie_rich_model
@@ -235,13 +236,17 @@ class TestWarmPacking:
                 steps = sl.pde_packing_steps(sigma0, model, cfg, control=control)
                 warm_tables = list(tables)
                 ref_steps, ref_tables = reference_packing_steps(sigma0, model, cfg)
+                # the reference refreshes before each scan, so never the last schedule
+                ref_tables.append(cold_solve(model, ref_steps[-1][0], cfg).control)
                 assert len(steps) == len(ref_steps), seed
                 for (sig, _), (ref_sig, _) in zip(steps, ref_steps):
                     assert np.array_equal(sig.intervals, ref_sig.intervals), seed
                 assert np.array_equal([h for _, h in steps], [h for _, h in ref_steps]), seed
-                assert len(warm_tables) == len(ref_tables), seed
-                for table, ref_table in zip(warm_tables, ref_tables):
+                # one refresh per accepted schedule, and each step keeps its table
+                assert len(warm_tables) == len(steps) == len(ref_tables), seed
+                for table, (jp, _), ref_table in zip(warm_tables, steps, ref_tables):
                     assert np.array_equal(table, ref_table), seed
+                    assert np.array_equal(jp.control, ref_table), seed
                 packed_steps += len(steps) - 1
         assert packed_steps > 40
 
@@ -258,6 +263,28 @@ class TestWarmPacking:
         assert [s.intervals.tolist() for s, _ in steps] == \
             [s.intervals.tolist() for s, _ in ref_steps]
         assert np.array_equal([h for _, h in steps], [h for _, h in ref_steps])
+
+    def test_pde_reads_the_packing_tables(self, monkeypatch):
+        """``CellSolution.pde`` takes each policy from its packing step
+        without another solve; the table equals a refresh of the chosen
+        schedule warm from the goal-oriented table."""
+        sol = sl.CellSolution(standard_config(scenario=sl.Scenario.CONTROL))
+        sol.pde_steps()
+        solve = policy.best_control_for_sigma
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(policy, "best_control_for_sigma", counting)
+        chosen = {f: sol.pde(f) for f in (0.25, 0.5, 0.75)}
+        assert calls == []
+        for f, (sigma, jp, seg) in chosen.items():
+            assert sigma is jp and np.array_equal(seg.control, jp.control)
+            want = solve(sol.model, jp, sol.planner, init_control=sol.goc.control)
+            assert np.array_equal(jp.control, want.control), f
+        assert sl.policy_entropy(chosen[0.25][1], 30) < sl.policy_entropy(chosen[0.75][1], 30)
 
     def test_diagnostics_logged(self, caplog):
         model, cfg, _ = tie_rich_model("sparse", 3)
