@@ -28,7 +28,7 @@ def main():
                            transitions=matrix[None], scenario=sl.Scenario.ESTIMATION,
                            density_decay=1.0)
     taus = np.array([1, 2, 3, 4, 5])
-    seg = sl.SegmentModel(model, taus, None, t_max=5)
+    seg = sl.SegmentModel(model, sl.SchedulingFunction(taus, t_max=5))
     mu = sl.steady_state(model)
     est = sl.EveEstimator(model, active=seg, prior=mu)
 

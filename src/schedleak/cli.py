@@ -158,11 +158,10 @@ def _solve_cell(payload: tuple[EpisodeConfig, float]) -> dict[str, str]:
     """Serialize every policy kind for one grid cell; returns name->JSON."""
     ep, fraction = payload
     sol = simulate.CellSolution(ep)
-    _, jp_pde, _ = sol.pde(fraction)
     return {
         "MPI": policy.policy_to_json(sol.goc),
         "PP": policy.policy_to_json(sol.pp_policy),
-        "PDE": policy.policy_to_json(jp_pde),
+        "PDE": policy.policy_to_json(sol.regime(PolicyKind.PDE, fraction).policy),
     }
 
 

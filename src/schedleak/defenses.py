@@ -89,7 +89,7 @@ def ade_schedule(s: int, ade: AdeState, est: EveEstimator, D: int) -> DefenseMod
     scheduled under determines which regime the listener should assume.
     """
     seg = ade.segment
-    fc = forecast_leakage(est, int(seg.taus[s - 1]), D, seg)
+    fc = forecast_leakage(est, int(seg.policy.intervals[s - 1]), D, seg)
     ade.mode = ade_decide(ade.mode, fc, ade.l_low, ade.l_high)
     return ade.mode
 

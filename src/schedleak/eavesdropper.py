@@ -32,7 +32,8 @@ import math
 import numpy as np
 
 from .markov import MarkovModel, shannon_entropy, steady_state
-from .policy import segment_beliefs
+from .policy import (JointPolicy, SchedulingFunction, check_schedule,
+                     segment_beliefs)
 
 
 class InconsistentTimingError(ValueError):
@@ -49,35 +50,35 @@ class InconsistentTimingError(ValueError):
 class SegmentModel:
     """One scheduling regime as the listener models it.
 
-    Holds, per renewal state, the interval the regime assigns
-    (``taus``), the control table it is built from (``control``) and the
-    step kernels needed for smoothing: prefix rows (the belief about the
-    state ``l`` steps into a segment opened at a known state, from
-    ``policy.segment_beliefs``) and suffix matrices (the transition
-    operator from ``l`` steps in to the end of the segment).  Estimation
-    dynamics share a single matrix, so prefix blocks are matrix powers and
-    serve as suffixes too; control suffixes are per-state products of the
-    plan's action matrices.
+    Holds the policy in force (``policy``: its schedule, and on control
+    models the control table the kernels apply, so there it must be a
+    ``JointPolicy``) and the step kernels needed for smoothing: prefix
+    rows (the belief about the state ``l`` steps into a segment opened at
+    a known state, from ``policy.segment_beliefs``) and suffix matrices
+    (the transition operator from ``l`` steps in to the end of the
+    segment).  Estimation dynamics share a single matrix, so prefix blocks
+    are matrix powers and serve as suffixes too, and a bare
+    ``SchedulingFunction`` will do; control suffixes are per-state
+    products of the plan's action matrices.
     """
 
-    def __init__(self, model: MarkovModel, taus: np.ndarray,
-                 control: np.ndarray | None, t_max: int):
-        n = model.num_states
-        self.num_states = n
-        self.t_max = t_max
-        self.taus = np.asarray(taus, dtype=np.int64)
-        if self.taus.shape != (n,) or np.any(self.taus < 1) or np.any(self.taus > t_max):
-            raise ValueError("schedule must assign each state an interval in 1..t_max")
+    def __init__(self, model: MarkovModel, policy: SchedulingFunction):
+        check_schedule(model, policy, policy.t_max)
         self.homogeneous = model.num_actions == 1
-        if not self.homogeneous and control is None:
-            raise ValueError("control models need a control table")
-        self.control = control
-        self._emission = (np.arange(t_max + 1)[:, None] == self.taus).astype(float)
+        if not (self.homogeneous or isinstance(policy, JointPolicy)):
+            raise ValueError("control models need a JointPolicy: the listener "
+                             "applies its control table")
+        self.policy = policy
+        self.t_max = t_max = policy.t_max
+        taus = policy.intervals
+        control = None if self.homogeneous else policy.control
+        self._emission = (np.arange(t_max + 1)[:, None] == taus).astype(float)
         self._pre = segment_beliefs(model, control, t_max)
         if not self.homogeneous:
+            n = model.num_states
             suf = np.zeros((n, t_max + 1, n, n))
             for s in range(n):
-                tau = int(self.taus[s])
+                tau = int(taus[s])
                 acc = np.eye(n)
                 suf[s, tau] = acc
                 for t in range(tau - 1, -1, -1):
@@ -138,8 +139,12 @@ class EveEstimator:
 
     def __init__(self, model: MarkovModel, active: SegmentModel, prior: np.ndarray):
         self.model = model
-        self.num_states = model.num_states
+        self.num_states = n = model.num_states
         self.prior = np.asarray(prior, dtype=float)
+        if not (self.prior.shape == (n,) and np.all(np.isfinite(self.prior))
+                and np.all(self.prior >= 0) and self.prior.sum() > 0):
+            raise ValueError(f"prior must be {n} finite nonnegative weights "
+                             "with positive mass")
         self.active = active
         self.times = [0]
         self.intervals: list[int] = []

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,8 +60,8 @@ class PlannerConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be nonnegative and finite, got {self.beta!r}")
         if self.t_max < 1:
             raise ValueError("t_max must be at least 1")
 
@@ -289,7 +290,8 @@ def _policy_iteration(model, cfg, allowed, init_control=None):
     Plans start at each state's smallest permitted stopping time, with
     ``init_control`` (control models) or all-zero actions.  Estimation
     models guess by MAP, ties to the smaller state; their c and K tables
-    never change, so improvement is a masked argmax over stopping times.
+    never change, so they are built once and improvement is a masked
+    argmax over stopping times.
     Control models improve by the exact branch-and-bound plan search.
     Every sweep is exact, so the first sweep that finds no strict
     improvement ends at a plan set optimal over the full plan space.
@@ -300,17 +302,17 @@ def _policy_iteration(model, cfg, allowed, init_control=None):
     if model.num_actions == 1:
         pre = segment_beliefs(model, None, cfg.t_max)
         control = np.argmax(pre[:, :cfg.t_max], axis=2) + 1
-    elif init_control is not None:
-        control = init_control
+        c, k = segment_stats(model, cfg, pre, control)
     else:
-        control = np.zeros((n, cfg.t_max), dtype=np.int64)
-    c, k = _plan_stats(model, cfg, control)
+        control = (init_control if init_control is not None
+                   else np.zeros((n, cfg.t_max), dtype=np.int64))
+        c, k = _plan_stats(model, cfg, control)
     v0 = _values(c, k, taus)
     expanded = 0
     for sweep in range(1, _MAX_SWEEPS + 1):
         if model.num_actions == 1:
             vals = np.where(allowed, c + k @ v0, -np.inf)
-            cand_taus, cand_control = np.argmax(vals, axis=1), control
+            cand_taus = np.argmax(vals, axis=1)
             best = vals[np.arange(n), cand_taus]
         else:
             cand_taus, cand_control, best, nodes = _improve_control(model, cfg, v0, allowed)
@@ -321,8 +323,9 @@ def _policy_iteration(model, cfg, allowed, init_control=None):
                       sweep, expanded)
             return taus, control, v0
         taus = np.where(accept, cand_taus, taus)
-        control = np.where(accept[:, None], cand_control, control)
-        c, k = _plan_stats(model, cfg, control)
+        if model.num_actions > 1:
+            control = np.where(accept[:, None], cand_control, control)
+            c, k = _plan_stats(model, cfg, control)
         v0 = _values(c, k, taus)
     raise NumericalError(f"policy iteration exceeded {_MAX_SWEEPS} sweeps")
 

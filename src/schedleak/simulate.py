@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import io
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,16 +62,18 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.num_states < 5:
             raise ValueError(f"num_states must be at least 5, got {self.num_states!r}")
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta!r}")
+        if not (math.isfinite(self.theta) and self.theta > 0):
+            raise ValueError(f"theta must be positive and finite, got {self.theta!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if self.d_gap < 0:
             raise ValueError("d_gap must be nonnegative")
         if not self.l_low < self.l_high:
             raise ValueError(f"need l_low < l_high, got {self.l_low!r} and {self.l_high!r}")
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         if not 0 <= self.target_entropy_fraction <= 1:
             raise ValueError("target_entropy_fraction must be in [0, 1], got "
                              f"{self.target_entropy_fraction!r}")
@@ -150,7 +153,8 @@ class CellSolution:
 
     Everything here is deterministic given the configuration, so a cell
     can be solved once and shared across episodes, gap values and defense
-    parameters.
+    parameters.  Each regime, the policy of a kind with the listener's
+    model of it, is one ``SegmentModel`` built on first use by ``regime``.
     """
 
     def __init__(self, cfg: EpisodeConfig):
@@ -162,13 +166,8 @@ class CellSolution:
         self.sigma_goc = policy.extract_sigma(self.goc)
         self.pp_policy = policy.solve_periodic(self.model, self.planner)
         self.pp_period = int(self.pp_policy.intervals[0])
-        self.sigma_pp = policy.extract_sigma(self.pp_policy)
-        t_max = self.planner.t_max
-        self.seg_goc = SegmentModel(self.model, self.sigma_goc.intervals, self.goc.control, t_max)
-        self.seg_pp = SegmentModel(self.model, self.sigma_pp.intervals, self.pp_policy.control,
-                                   t_max)
         self._pde_steps = None
-        self._pde_cache: dict[float, tuple] = {}
+        self._regimes: dict[tuple, SegmentModel] = {}
         self._occupancy: dict = {}
 
     def pde_steps(self):
@@ -179,29 +178,31 @@ class CellSolution:
         return self._pde_steps
 
     def pde(self, fraction: float):
-        """(policy, policy, segment model) of the first packing step at or
-        below fraction * H(sigma_goc); the policy comes twice, as schedule
-        and as policy, so the triple has the shape of ``regime``."""
-        key = round(float(fraction), 12)
-        if key not in self._pde_cache:
-            steps = self.pde_steps()
-            target = fraction * steps[0][1]
-            jp = next(jp for jp, h in steps if h <= target)
-            seg = SegmentModel(self.model, jp.intervals, jp.control, self.planner.t_max)
-            self._pde_cache[key] = (jp, jp, seg)
-        return self._pde_cache[key]
+        """(policy, policy, regime) of the first packing step at or below
+        fraction * H(sigma_goc), with ``regime = regime(PDE, fraction)``;
+        the policy comes twice, as schedule and as policy."""
+        r = self.regime(PolicyKind.PDE, fraction)
+        return r.policy, r.policy, r
 
-    def regime(self, kind: PolicyKind, fraction: float):
-        """(sigma, policy, segment model) of a fixed schedule, as ``pde``.
+    def regime(self, kind: PolicyKind, fraction: float = 0.5) -> SegmentModel:
+        """The listener's model of a kind's regime, holding its policy.
 
-        ADE has no fixed schedule; it switches between the MPI (goal-
-        oriented) and PP (periodic) regimes, and is given the MPI one.
+        MPI is the goal-oriented policy, PP the periodic one and PDE the
+        first packing step at or below fraction * H(sigma_goc).  ADE has no
+        fixed schedule; it switches between the MPI and PP regimes, and is
+        given the MPI one.  Built once per (kind, PDE fraction): a repeated
+        call, or an ADE call, returns the same object.
         """
-        if kind is PolicyKind.PP:
-            return self.sigma_pp, self.pp_policy, self.seg_pp
-        if kind is PolicyKind.PDE:
-            return self.pde(fraction)
-        return self.sigma_goc, self.goc, self.seg_goc
+        kind = PolicyKind.MPI if kind is PolicyKind.ADE else kind
+        key = kind, round(float(fraction), 12) if kind is PolicyKind.PDE else None
+        if key not in self._regimes:
+            if kind is PolicyKind.PDE:
+                steps = self.pde_steps()
+                jp = next(jp for jp, h in steps if h <= fraction * steps[0][1])
+            else:
+                jp = self.pp_policy if kind is PolicyKind.PP else self.goc
+            self._regimes[key] = SegmentModel(self.model, jp)
+        return self._regimes[key]
 
     def occupancy(self, kind: PolicyKind, fraction: float = 0.5) -> np.ndarray:
         """Long-run true-state distribution under a policy kind, memoised.
@@ -209,34 +210,39 @@ class CellSolution:
         Estimation dynamics ignore the schedule, so one distribution serves
         every kind; under control, ADE shares the goal-oriented one.
         """
-        key = None if self.model.num_actions == 1 else (
-            PolicyKind.MPI if kind is PolicyKind.ADE else kind,
-            round(float(fraction), 12) if kind is PolicyKind.PDE else None)
+        key = None if self.model.num_actions == 1 else self.regime(kind, fraction)
         if key not in self._occupancy:
-            if key is None:
-                self._occupancy[key] = markov.steady_state(self.model)
-            else:
-                _, jp, _ = self.regime(key[0], fraction)
-                self._occupancy[key] = policy.occupancy_distribution(self.model, jp)
+            self._occupancy[key] = (markov.steady_state(self.model) if key is None else
+                                    policy.occupancy_distribution(self.model, key.policy))
         return self._occupancy[key]
 
 
 def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
                 episode_index: int = 0) -> tuple[EpisodeRecord, EpisodeMetrics]:
-    """Simulate one seeded episode under the configured policy kind."""
+    """Simulate one seeded episode under the configured policy kind.
+
+    A given ``solution`` must have been solved for the cell of ``cfg``.
+    """
     sol = solution if solution is not None else CellSolution(cfg)
+    solved = {"scenario": sol.model.scenario, "theta": sol.model.density_decay,
+              "num_states": sol.model.num_states, **dataclasses.asdict(sol.planner)}
+    for name, value in solved.items():
+        if getattr(cfg, name) != value:
+            raise ValueError(f"the solution was solved for {name}={value!r}, "
+                             f"but the episode has {name}={getattr(cfg, name)!r}")
     model, n_states = sol.model, sol.model.num_states
     n_steps, gap = cfg.n_steps, cfg.d_gap
     kind, fraction = cfg.policy_kind, cfg.target_entropy_fraction
     rng = np.random.default_rng([cfg.seed, episode_index])
 
     mu0 = sol.occupancy(kind, fraction)
-    seg = sol.regime(kind, fraction)[2]   # the regime in force; ADE switches it
+    seg = sol.regime(kind, fraction)   # the regime in force; ADE switches it
     label = (DefenseMode.PERIODIC if kind is PolicyKind.PP else DefenseMode.GOC).value
     ade = None
     if kind is PolicyKind.ADE:
         ade = AdeState(mode=DefenseMode.GOC, l_low=cfg.l_low, l_high=cfg.l_high,
-                       goc_segment=sol.seg_goc, pp_segment=sol.seg_pp)
+                       goc_segment=sol.regime(PolicyKind.MPI),
+                       pp_segment=sol.regime(PolicyKind.PP))
 
     est = EveEstimator(model, active=seg, prior=mu0)
 
@@ -264,7 +270,7 @@ def run_episode(cfg: EpisodeConfig, solution: CellSolution | None = None,
             if ade is not None:
                 label = defenses.ade_schedule(s + 1, ade, est, gap).value
                 seg = ade.segment
-            interval, control_row = int(seg.taus[s]), seg.control[s]
+            interval, control_row = int(seg.policy.intervals[s]), seg.policy.control[s]
             est.set_active(seg)
             transmits[n] = 1
             last_tx = n
@@ -379,14 +385,12 @@ def sweep(base: EpisodeConfig, thetas, betas, d_gaps, kinds,
 
 
 def _kind_entropy(sol: CellSolution, kind: PolicyKind, cfg: EpisodeConfig) -> float:
-    n = sol.model.num_states
-    if kind is PolicyKind.MPI:
-        return policy.policy_entropy(sol.sigma_goc, n)
+    if kind is PolicyKind.ADE:
+        return float("nan")  # ADE alternates; its schedule has no fixed entropy
     if kind is PolicyKind.PP:
         return 0.0
-    if kind is PolicyKind.PDE:
-        return policy.policy_entropy(sol.pde(cfg.target_entropy_fraction)[0], n)
-    return float("nan")  # ADE alternates; its schedule has no fixed entropy
+    return policy.policy_entropy(sol.regime(kind, cfg.target_entropy_fraction).policy,
+                                 sol.model.num_states)
 
 
 def pareto_sweep(base: EpisodeConfig, ade_lows, pde_fractions,

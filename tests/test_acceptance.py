@@ -87,7 +87,8 @@ def test_criterion_1_oracle_equivalence():
         else:
             model = estimation_model(trans[0])
             prior = sl.steady_state(model)
-        seg = sl.SegmentModel(model, taus, plan, t_max)
+        seg = sl.SegmentModel(model, sl.JointPolicy(taus, t_max, plan) if control
+                              else sl.SchedulingFunction(taus, t_max))
         est = sl.EveEstimator(model, active=seg, prior=prior)
         s = int(rng.choice(n, p=prior))
         intervals = []

@@ -66,11 +66,23 @@ class TestConfig:
         ("simulate", {"model": {"theta": [8, 0]}}),
         ("simulate", {"planner": {"beta": [1.0, -1.0]}}),
         ("simulate", {"defense": {"forecast_mode": "instant"}}),
+        ("solve", {"planner": {"beta": float("nan")}}),
+        ("simulate", {"planner": {"beta": [1.0, float("nan")]}}),
+        ("solve", {"model": {"theta": float("inf")}}),
+        ("simulate", {"model": {"theta": [8, float("inf")]}}),
+        ("pareto", {"model": {"theta": float("inf")}}),
+        ("simulate", {"simulation": {"epsilon": float("inf")}}),
+        ("solve", {"simulation": {"seed": -1}}),
+        ("simulate", {"simulation": {"seed": -1}}),
+        ("pareto", {"simulation": {"seed": -1}}),
     ], ids=["gamma", "value_tolerance=0", "value_tolerance=1e-15",
             "value_tolerance<0", "l_low>l_high", "epsilon<0", "fraction>1",
             "pde_grid>1", "pde_grid<0", "ade_grid", "solve-num_states=4",
             "solve-theta=0", "simulate-num_states=4", "simulate-theta=0",
-            "simulate-beta<0", "forecast_mode=instant"])
+            "simulate-beta<0", "forecast_mode=instant", "solve-beta=nan",
+            "simulate-beta=nan", "solve-theta=inf", "simulate-theta=inf",
+            "pareto-theta=inf", "epsilon=inf", "solve-seed<0", "simulate-seed<0",
+            "pareto-seed<0"])
     def test_bad_parameter_value(self, tmp_path, capsys, monkeypatch, command, sections):
         def forbidden(cfg):
             raise AssertionError("cell solved before the config was checked")
@@ -79,6 +91,16 @@ class TestConfig:
         rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "pareto"])
+    def test_negative_seed_flag(self, tmp_path, capsys, monkeypatch, command):
+        def forbidden(cfg):
+            raise AssertionError("cell solved before the config was checked")
+        monkeypatch.setattr(simulate, "CellSolution", forbidden)
+        cfg = write_config(tmp_path)
+        rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert rc == 2
+        assert "config error: seed must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, section, key, value", [
         ("solve", "planner", "t_max", 2.5),

@@ -42,14 +42,15 @@ class TestAdeRule:
     def test_threshold_order_enforced(self, est_cell):
         with pytest.raises(ValueError):
             sl.AdeState(mode=DefenseMode.GOC, l_low=0.6, l_high=0.4,
-                        goc_segment=est_cell.seg_goc, pp_segment=est_cell.seg_pp)
+                        goc_segment=est_cell.regime(sl.PolicyKind.MPI),
+                        pp_segment=est_cell.regime(sl.PolicyKind.PP))
 
 
 class TestForecast:
     def test_periodic_forecast_hits_floor(self, est_cell):
         m = est_cell.model
         mu = sl.steady_state(m)
-        seg = sl.SegmentModel(m, np.full(30, 4), None, 10)
+        seg = sl.SegmentModel(m, sl.SchedulingFunction(np.full(30, 4), 10))
         est = sl.EveEstimator(m, active=seg, prior=mu)
         for _ in range(15):
             est.observe(4)
@@ -59,12 +60,12 @@ class TestForecast:
     def test_distinguishing_schedule_forecasts_certainty(self):
         model = estimation_model(np.eye(3))
         taus = np.array([1, 2, 3])
-        seg = sl.SegmentModel(model, taus, None, 3)
+        seg = sl.SegmentModel(model, sl.SchedulingFunction(taus, 3))
         est = sl.EveEstimator(model, active=seg, prior=np.full(3, 1 / 3))
         assert sl.forecast_leakage(est, 2, 0, seg) == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_in_gap(self, est_cell):
-        seg = est_cell.seg_goc
+        seg = est_cell.regime(sl.PolicyKind.MPI)
         est = sl.EveEstimator(est_cell.model, active=seg,
                               prior=sl.steady_state(est_cell.model))
         est.observe(int(est_cell.sigma_goc.intervals[10]))
@@ -73,11 +74,11 @@ class TestForecast:
             sl.forecast_leakage(est, tau, 5, seg) + 1e-12
 
     def test_probe_does_not_mutate(self, est_cell):
-        est = sl.EveEstimator(est_cell.model, active=est_cell.seg_goc,
+        est = sl.EveEstimator(est_cell.model, active=est_cell.regime(sl.PolicyKind.MPI),
                               prior=sl.steady_state(est_cell.model))
         est.observe(int(est_cell.sigma_goc.intervals[0]))
         before = len(est.intervals)
-        sl.forecast_leakage(est, 3, 5, est_cell.seg_goc)
+        sl.forecast_leakage(est, 3, 5, est_cell.regime(sl.PolicyKind.MPI))
         assert len(est.intervals) == before
 
 
@@ -85,16 +86,18 @@ class TestAdeSchedule:
     def test_interval_always_valid(self, est_cell):
         mu = sl.steady_state(est_cell.model)
         ade = sl.AdeState(mode=DefenseMode.GOC, l_low=0.4, l_high=0.6,
-                          goc_segment=est_cell.seg_goc,
-                          pp_segment=est_cell.seg_pp)
-        est = sl.EveEstimator(est_cell.model, active=est_cell.seg_goc, prior=mu)
+                          goc_segment=est_cell.regime(sl.PolicyKind.MPI),
+                          pp_segment=est_cell.regime(sl.PolicyKind.PP))
+        est = sl.EveEstimator(est_cell.model, active=est_cell.regime(sl.PolicyKind.MPI),
+                              prior=mu)
         rng = np.random.default_rng(3)
         for _ in range(12):
             s = int(rng.integers(1, 31))
             mode = sl.ade_schedule(s, ade, est, 5)
-            seg = est_cell.seg_goc if mode is DefenseMode.GOC else est_cell.seg_pp
+            seg = est_cell.regime(sl.PolicyKind.MPI if mode is DefenseMode.GOC
+                                  else sl.PolicyKind.PP)
             assert ade.segment is seg
-            interval = int(seg.taus[s - 1])
+            interval = int(seg.policy.intervals[s - 1])
             assert 1 <= interval <= 10
             est.set_active(seg)
             est.observe(interval)
@@ -103,9 +106,10 @@ class TestAdeSchedule:
         """With the band at the floor, a leaky schedule switches immediately."""
         mu = sl.steady_state(est_cell.model)
         ade = sl.AdeState(mode=DefenseMode.GOC, l_low=0.05, l_high=0.1,
-                          goc_segment=est_cell.seg_goc,
-                          pp_segment=est_cell.seg_pp)
-        est = sl.EveEstimator(est_cell.model, active=est_cell.seg_goc, prior=mu)
+                          goc_segment=est_cell.regime(sl.PolicyKind.MPI),
+                          pp_segment=est_cell.regime(sl.PolicyKind.PP))
+        est = sl.EveEstimator(est_cell.model, active=est_cell.regime(sl.PolicyKind.MPI),
+                              prior=mu)
         mode = sl.ade_schedule(5, ade, est, 5)
         assert mode is DefenseMode.PERIODIC
 
@@ -281,7 +285,7 @@ class TestWarmPacking:
         chosen = {f: sol.pde(f) for f in (0.25, 0.5, 0.75)}
         assert calls == []
         for f, (sigma, jp, seg) in chosen.items():
-            assert sigma is jp and np.array_equal(seg.control, jp.control)
+            assert sigma is jp and np.array_equal(seg.policy.control, jp.control)
             want = solve(sol.model, jp, sol.planner, init_control=sol.goc.control)
             assert np.array_equal(jp.control, want.control), f
         assert sl.policy_entropy(chosen[0.25][1], 30) < sl.policy_entropy(chosen[0.75][1], 30)

@@ -11,7 +11,7 @@ from test_markov import estimation_model, ring_matrix
 
 def make_estimator(matrix, taus, t_max, prior=None):
     model = estimation_model(np.asarray(matrix))
-    seg = sl.SegmentModel(model, np.asarray(taus), None, t_max)
+    seg = sl.SegmentModel(model, sl.SchedulingFunction(np.asarray(taus), t_max))
     prior = prior if prior is not None else sl.steady_state(model)
     return model, sl.EveEstimator(model, active=seg, prior=prior)
 
@@ -33,7 +33,8 @@ def random_instance(rng, control=False):
     else:
         model = estimation_model(trans[0])
         prior = sl.steady_state(model)
-    seg = sl.SegmentModel(model, taus, plan, t_max)
+    seg = sl.SegmentModel(model, sl.JointPolicy(taus, t_max, plan) if control
+                          else sl.SchedulingFunction(taus, t_max))
     est = sl.EveEstimator(model, active=seg, prior=prior)
     s = int(rng.choice(n, p=prior))
     intervals = []
@@ -56,7 +57,8 @@ def alternating_instance(rng, control, n_requests=10):
     taus2 = rng.integers(1, t_max + 1, size=n)
     plan2 = rng.integers(0, model.num_actions, size=(n, t_max)) if control else None
     regimes = [(taus, plan, est.active),
-               (taus2, plan2, sl.SegmentModel(model, taus2, plan2, t_max))]
+               (taus2, plan2, sl.SegmentModel(model, sl.JointPolicy(taus2, t_max, plan2) if control
+                                                   else sl.SchedulingFunction(taus2, t_max)))]
     s = int(rng.choice(n, p=prior))
     for i in range(n_requests):
         r_taus, r_plan, seg = regimes[int(rng.integers(2))]
@@ -93,6 +95,41 @@ def eager_backward(est, horizon):
     return vecs
 
 
+class TestSegmentModel:
+    def test_holds_the_policy_it_models(self, ctl_cell):
+        seg = sl.SegmentModel(ctl_cell.model, ctl_cell.goc)
+        assert seg.policy is ctl_cell.goc and seg.t_max == ctl_cell.goc.t_max
+
+    def test_control_model_needs_a_control_table(self, ctl_cell):
+        sigma = sl.extract_sigma(ctl_cell.goc)
+        with pytest.raises(ValueError, match="control models need a JointPolicy"):
+            sl.SegmentModel(ctl_cell.model, sigma)
+
+    @pytest.mark.parametrize("length", [29, 31])
+    def test_schedule_needs_one_interval_per_state(self, est_cell, length):
+        sigma = sl.SchedulingFunction(np.full(length, 3), 10)
+        with pytest.raises(ValueError, match=rf"schedule has {length} intervals, one per "
+                                             r"state is needed \(num_states=30\)"):
+            sl.SegmentModel(est_cell.model, sigma)
+
+
+class TestPrior:
+    @pytest.mark.parametrize("prior", [np.zeros(30), np.full(29, 1 / 29),
+                                       np.full(30, np.nan), -np.eye(30)[0],
+                                       np.full(30, np.inf)],
+                             ids=["zero", "length", "nan", "negative", "inf"])
+    def test_bad_prior_rejected(self, est_cell, prior):
+        with pytest.raises(ValueError, match="prior must be 30 finite nonnegative weights "
+                                             "with positive mass"):
+            sl.EveEstimator(est_cell.model, est_cell.regime(sl.PolicyKind.MPI), prior)
+
+    def test_unnormalised_prior_is_scaled(self, est_cell):
+        seg = est_cell.regime(sl.PolicyKind.MPI)
+        mu = sl.steady_state(est_cell.model)
+        est = sl.EveEstimator(est_cell.model, seg, 5 * mu)
+        assert np.allclose(est.forwards[0], mu, atol=1e-15)
+
+
 class TestForward:
     def test_two_state_identity_distinguishing(self):
         model, est = make_estimator(np.eye(2), [1, 2], 2)
@@ -102,7 +139,7 @@ class TestForward:
 
     def test_periodic_keeps_stationary_prior(self):
         m = sl.build_model(8.0, 30, sl.Scenario.ESTIMATION)
-        seg = sl.SegmentModel(m, np.full(30, 3), None, 10)
+        seg = sl.SegmentModel(m, sl.SchedulingFunction(np.full(30, 3), 10))
         mu = sl.steady_state(m)
         est = sl.EveEstimator(m, active=seg, prior=mu)
         for _ in range(4):
@@ -137,7 +174,7 @@ class TestBackward:
 
     def test_periodic_all_uniform(self):
         m = sl.build_model(8.0, 30, sl.Scenario.ESTIMATION)
-        seg = sl.SegmentModel(m, np.full(30, 2), None, 10)
+        seg = sl.SegmentModel(m, sl.SchedulingFunction(np.full(30, 2), 10))
         est = sl.EveEstimator(m, active=seg, prior=sl.steady_state(m))
         for _ in range(5):
             est.observe(2)
@@ -172,7 +209,7 @@ class TestBackward:
 
     def test_work_stays_inside_the_window(self):
         m = sl.build_model(8.0, 30, sl.Scenario.ESTIMATION)
-        seg = sl.SegmentModel(m, np.full(30, 2), None, 10)
+        seg = sl.SegmentModel(m, sl.SchedulingFunction(np.full(30, 2), 10))
         est = sl.EveEstimator(m, active=seg, prior=sl.steady_state(m))
         for _ in range(200):
             est.observe(2)
@@ -240,7 +277,7 @@ class TestSmoothing:
     def test_periodic_belief_mixes_to_stationary(self, est_cell):
         m = est_cell.model
         mu = sl.steady_state(m)
-        seg = sl.SegmentModel(m, np.full(30, est_cell.pp_period), None, 10)
+        seg = sl.SegmentModel(m, sl.SchedulingFunction(np.full(30, est_cell.pp_period), 10))
         est = sl.EveEstimator(m, active=seg, prior=mu)
         for _ in range(30):
             est.observe(est_cell.pp_period)
@@ -300,7 +337,7 @@ class TestLeakage:
         mu = sl.steady_state(m)
         floor = sl.min_leakage(m, mu=mu)
         for period in (2, 4, 7):
-            seg = sl.SegmentModel(m, np.full(30, period), None, 10)
+            seg = sl.SegmentModel(m, sl.SchedulingFunction(np.full(30, period), 10))
             est = sl.EveEstimator(m, active=seg, prior=mu)
             for _ in range(60 // period):
                 est.observe(period)
@@ -326,7 +363,7 @@ class TestLeakage:
 
     def test_horizon_past_t_max_fails_fast(self):
         m = sl.build_model(8.0, 30, sl.Scenario.ESTIMATION)
-        seg = sl.SegmentModel(m, np.full(30, 2), None, 10)
+        seg = sl.SegmentModel(m, sl.SchedulingFunction(np.full(30, 2), 10))
         est = sl.EveEstimator(m, active=seg, prior=sl.steady_state(m))
         est.observe(2)
         est.leakage(12, 0)  # t_max steps after the last request is fine
@@ -366,7 +403,7 @@ class TestMemo:
         est.set_active(est.active)             # the same regime keeps the memo
         est.leakage(h + t_max, 3)
         assert est.beliefs_made - before == 1
-        other = sl.SegmentModel(est.model, est.active.taus, est.active.control, t_max)
+        other = sl.SegmentModel(est.model, est.active.policy)
         est.set_active(other)                  # another regime starts over
         est.leakage(h + t_max, 3)
         assert est.beliefs_made - before == 5
@@ -379,9 +416,10 @@ class TestMemo:
         cfg = sl.EpisodeConfig(scenario=sl.Scenario.CONTROL, policy_kind=sl.PolicyKind.ADE,
                                d_gap=gap, n_steps=n_steps, seed=3)
         rec, _ = sl.run_episode(cfg, ctl_cell)
-        regimes = {"goc": ctl_cell.seg_goc, "periodic": ctl_cell.seg_pp}
+        regimes = {"goc": ctl_cell.regime(sl.PolicyKind.MPI),
+                   "periodic": ctl_cell.regime(sl.PolicyKind.PP)}
         prior = ctl_cell.occupancy(sl.PolicyKind.ADE)
-        probed, plain = (sl.EveEstimator(ctl_cell.model, active=ctl_cell.seg_goc, prior=prior)
+        probed, plain = (sl.EveEstimator(ctl_cell.model, active=regimes["goc"], prior=prior)
                          for _ in range(2))
         requests = np.flatnonzero(rec.transmits).tolist()
         probes = 0
@@ -390,12 +428,13 @@ class TestMemo:
             nonlocal probes
             seg, s = probed.active, int(rec.states[n]) - 1
             if probe == "other regime":
-                other = regimes["periodic" if seg is ctl_cell.seg_goc else "goc"]
-                taus = [int(other.taus[s])]
+                other = regimes["periodic" if seg is regimes["goc"] else "goc"]
+                taus = [int(other.policy.intervals[s])]
             else:
                 other = seg
                 live = probed.forwards[-1] > 0
-                taus = sorted({int(t) for t in seg.taus[live]} - {int(seg.taus[s])})
+                taus = sorted({int(t) for t in seg.policy.intervals[live]}
+                              - {int(seg.policy.intervals[s])})
             for tau in taus[:1]:
                 dup = probed.clone()
                 dup.set_active(other)

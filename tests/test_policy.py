@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import schedleak as sl
+from schedleak import policy
 from oracles import (ControlPlan, brute_force_best, brute_force_for_schedule,
                      evaluate_joint, monte_carlo_return, propagate_belief,
                      random_stochastic, renewal_occupancy)
@@ -38,6 +39,13 @@ def small_config(**kw):
     base = dict(gamma=0.95, beta=0.5, t_max=3)
     base.update(kw)
     return sl.PlannerConfig(**base)
+
+
+class TestPlannerConfig:
+    @pytest.mark.parametrize("beta", [-1.0, float("nan"), float("inf")])
+    def test_beta_must_be_finite_and_nonnegative(self, beta):
+        with pytest.raises(ValueError, match="beta must be nonnegative and finite"):
+            sl.PlannerConfig(beta=beta)
 
 
 class TestSchedulingFunction:
@@ -162,6 +170,24 @@ class TestSolveGoc:
         a, b = sl.solve_goc(model, cfg), sl.solve_goc(model, cfg)
         assert np.array_equal(a.transmit, b.transmit)
         assert np.array_equal(a.control, b.control)
+
+    def test_estimation_tables_built_once(self, monkeypatch):
+        """Estimation c and K do not depend on the plans, so one solve makes
+        one belief table however many sweeps it runs."""
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return segment_beliefs(*args)
+
+        segment_beliefs = policy.segment_beliefs
+        monkeypatch.setattr(policy, "segment_beliefs", counting)
+        model = sl.build_model(32.0, 30, sl.Scenario.ESTIMATION)
+        cfg = sl.PlannerConfig(beta=1.0, t_max=10)
+        jp = sl.solve_goc(model, cfg)
+        assert len(built) == 1
+        monkeypatch.undo()
+        assert np.array_equal(jp.intervals, sl.solve_goc(model, cfg).intervals)
 
     @pytest.mark.parametrize("trial", range(8))
     def test_matches_brute_force(self, trial):

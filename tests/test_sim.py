@@ -209,6 +209,16 @@ class TestEpisode:
         assert est.beliefs_made == len(points)
         assert est.beliefs_reused > 0
 
+    def test_solution_of_another_cell_rejected(self, est_cell, ctl_cell):
+        for cfg, sol, name in [(standard_config(scenario=sl.Scenario.CONTROL), est_cell,
+                                "scenario"),
+                               (standard_config(), ctl_cell, "scenario"),
+                               (standard_config(theta=8.0), est_cell, "theta"),
+                               (standard_config(beta=0.5), est_cell, "beta"),
+                               (standard_config(t_max=8), est_cell, "t_max")]:
+            with pytest.raises(ValueError, match=f"solved for {name}="):
+                sl.run_episode(cfg, sol)
+
     def test_csv_fixed_columns(self, est_cell):
         rec, _ = sl.run_episode(standard_config(n_steps=20, seed=11), est_cell)
         buf = io.StringIO()
@@ -230,8 +240,13 @@ class TestEpisodeConfig:
         (dict(num_states=4), "num_states must be at least 5"),
         (dict(theta=0.0), "theta must be positive"),
         (dict(theta=float("nan")), "theta must be positive"),
+        (dict(theta=float("inf")), "theta must be positive and finite"),
+        (dict(epsilon=float("inf")), "epsilon must be nonnegative and finite"),
+        (dict(seed=-1), "seed must be nonnegative"),
+        (dict(beta=float("inf")), "beta must be nonnegative and finite"),
     ], ids=["l_low>l_high", "l_low=l_high", "epsilon", "fraction>1", "fraction<0",
-            "num_states<5", "theta=0", "theta=nan"])
+            "num_states<5", "theta=0", "theta=nan", "theta=inf", "epsilon=inf",
+            "seed<0", "beta=inf"])
     def test_defense_fields_rejected(self, field, pattern):
         with pytest.raises(ValueError, match=pattern):
             standard_config(**field)
@@ -243,6 +258,40 @@ class TestEpisodeConfig:
         with pytest.raises(ValueError, match="target_entropy_fraction"):
             sl.pareto_sweep(standard_config(), ade_lows=[0.3], pde_fractions=[0.5, 1.7],
                             n_episodes=1)
+
+
+class TestRegime:
+    def test_one_regime_object_per_kind(self, ctl_cell):
+        """``regime`` returns the listener's model holding the kind's policy,
+        one object per (kind, packing fraction); ADE is given MPI's."""
+        mpi = ctl_cell.regime(sl.PolicyKind.MPI)
+        assert isinstance(mpi, sl.SegmentModel) and mpi.policy is ctl_cell.goc
+        assert ctl_cell.regime(sl.PolicyKind.ADE) is mpi
+        assert ctl_cell.regime(sl.PolicyKind.MPI, 0.25) is mpi
+        pp = ctl_cell.regime(sl.PolicyKind.PP)
+        assert pp.policy is ctl_cell.pp_policy and ctl_cell.regime(sl.PolicyKind.PP) is pp
+        for f in (0.25, 0.5):
+            pde = ctl_cell.regime(sl.PolicyKind.PDE, f)
+            assert pde is ctl_cell.regime(sl.PolicyKind.PDE, f)
+            assert pde.policy is ctl_cell.pde(f)[1] and ctl_cell.pde(f)[2] is pde
+
+    def test_regimes_built_on_first_use(self, monkeypatch):
+        """A cell builds no listener model until a regime is asked for, and
+        each regime once."""
+        built = []
+
+        class Counted(sl.SegmentModel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(simulate, "SegmentModel", Counted)
+        sol = sl.CellSolution(standard_config())
+        assert built == []
+        for kind in sl.PolicyKind:
+            sl.run_episode(standard_config(policy_kind=kind, n_steps=20), sol)
+        want = [sol.goc, sol.pp_policy, sol.pde(0.5)[1]]
+        assert len(built) == 3 and all(r.policy is p for r, p in zip(built, want))
 
 
 class TestBatch:
