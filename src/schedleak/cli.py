@@ -161,7 +161,7 @@ def _solve_cell(payload: tuple[EpisodeConfig, float]) -> dict[str, str]:
     return {
         "MPI": policy.policy_to_json(sol.goc),
         "PP": policy.policy_to_json(sol.pp_policy),
-        "PDE": policy.policy_to_json(sol.regime(PolicyKind.PDE, fraction).policy),
+        "PDE": policy.policy_to_json(sol.policy(PolicyKind.PDE, fraction)),
     }
 
 

@@ -58,19 +58,18 @@ class AdeState:
         return self.goc_segment if self.mode is DefenseMode.GOC else self.pp_segment
 
 
-def forecast_leakage(est: EveEstimator, planned_interval: int, D: int,
-                     segment_model: SegmentModel) -> float:
+def forecast_leakage(est: EveEstimator, planned_interval: int, D: int) -> float:
     """Leakage the listener would reach if the next interval were as planned.
 
-    Simulates appending the interval, scheduled under ``segment_model``, to
-    the timing trace and returns the maximum leakage over every step of
-    that hypothetical segment.
+    Returns the maximum leakage over every step of that hypothetical
+    segment, scheduled under ``est.active``.  The steps before its arrival
+    are the ones the listener reads next, so their leakages come from
+    ``est`` itself; only the arrival is observed, on a clone.
     """
-    probe = est.clone()
-    probe.set_active(segment_model)
-    probe.observe(planned_interval)
-    start, arrival = probe.times[-2] + 1, probe.times[-1]
-    return max(probe.leakage(h, D) for h in range(start, arrival + 1))
+    probe = est.clone().observe(planned_interval)
+    start, arrival = est.times[-1] + 1, probe.times[-1]
+    return max([*(est.leakage(h, D) for h in range(start, arrival)),
+                probe.leakage(arrival, D)])
 
 
 def ade_decide(mode: DefenseMode, forecast: float, l_low: float,
@@ -84,12 +83,16 @@ def ade_decide(mode: DefenseMode, forecast: float, l_low: float,
 def ade_schedule(s: int, ade: AdeState, est: EveEstimator, D: int) -> DefenseMode:
     """Mode for a renewal at state ``s`` (1-indexed); updates ``ade.mode``.
 
-    The forecast hypothesizes the interval that the current mode's regime
-    assigns to ``s``, under that regime; the mode the interval is then
-    scheduled under determines which regime the listener should assume.
+    The listener must be set to the current mode's regime (``est.active is
+    ade.segment``), or a ``ValueError`` is raised.  The forecast
+    hypothesizes the interval that this regime assigns to ``s``; the mode
+    the interval is then scheduled under determines which regime the
+    listener should assume.
     """
-    seg = ade.segment
-    fc = forecast_leakage(est, int(seg.policy.intervals[s - 1]), D, seg)
+    if est.active is not ade.segment:
+        raise ValueError("the listener's active regime is not the one of the "
+                         f"current mode ({ade.mode.value})")
+    fc = forecast_leakage(est, int(ade.segment.policy.intervals[s - 1]), D)
     ade.mode = ade_decide(ade.mode, fc, ade.l_low, ade.l_high)
     return ade.mode
 

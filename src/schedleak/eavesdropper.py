@@ -121,20 +121,14 @@ class EveEstimator:
     through K, so each (K, instant) belief is made once, with its
     certainty, and kept in a memo that later queries read; a query costs
     work proportional to the requests inside the part of its window not
-    made before, never to the length of the episode.  ``observe`` keeps
-    only the entries and the backward tail of the K it closes, and
-    ``set_active`` drops the memo when the regime changes, since the open
-    segment's beliefs depend on it.  Memoised beliefs are read-only.
+    made before, never to the length of the episode.  ``observe`` and a
+    change of regime in ``set_active`` start the memo over, since the open
+    segment's beliefs depend on both.  Memoised beliefs are read-only.
 
-    ``clone`` shares the memo and the backward tails; ``observe`` and
-    ``set_active`` rebind them rather than clear them, so a clone's
-    hypothetical intervals never reach the original's entries, while what
-    a clone makes for the K they share (same history, same regime) is
-    reused by the original.  ``backward_vectors`` counts the vectors made,
-    ``beliefs_made`` the beliefs made and ``beliefs_reused`` the beliefs a
-    query read from the memo.  A clone starts from its original's counts
-    and counts its own work from then on, even when the original later
-    reuses what the clone made.
+    ``clone`` is an independent copy with empty caches.
+    ``backward_vectors`` counts the vectors made, ``beliefs_made`` the
+    beliefs made and ``beliefs_reused`` the beliefs a query read from the
+    memo; a clone starts from its original's counts.
     """
 
     def __init__(self, model: MarkovModel, active: SegmentModel, prior: np.ndarray):
@@ -178,35 +172,25 @@ class EveEstimator:
         norm = nxt.sum()
         if norm <= 0.0:
             raise InconsistentTimingError(len(self.intervals) + 1, tau)
-        k = len(self.intervals)                  # the request that opened it
         self.intervals.append(int(tau))
         self.segment_models.append(self.active)
         self.times.append(self.times[-1] + int(tau))
         self.forwards.append(nxt / norm)
         self.log_norms.append(self.log_norms[-1] + math.log(norm))
         self.min_forward_norm = min(self.min_forward_norm, float(norm))
-        # what is known for K = k stays valid; rebinding leaves a clone's dicts alone
-        self._memo = {k: self._memo.setdefault(k, {})}
-        self._backward_cache = {k: self._backward_cache.setdefault(k, [])}
+        self._memo, self._backward_cache = {}, {}
         return self
 
     def clone(self) -> "EveEstimator":
-        dup = object.__new__(EveEstimator)
-        dup.model = self.model
-        dup.num_states = self.num_states
-        dup.prior = self.prior
-        dup.active = self.active
-        dup.times = list(self.times)
-        dup.intervals = list(self.intervals)
-        dup.segment_models = list(self.segment_models)
-        dup.forwards = list(self.forwards)
-        dup.log_norms = list(self.log_norms)
-        dup.min_forward_norm = self.min_forward_norm
-        dup.backward_vectors = self.backward_vectors
-        dup.beliefs_made = self.beliefs_made
-        dup.beliefs_reused = self.beliefs_reused
-        dup._backward_cache = self._backward_cache
-        dup._memo = self._memo
+        # named fields, not copy.copy: on CPython 3.11 reading the original's
+        # __dict__ turns its attributes into a dict and slows every later read
+        dup = object.__new__(type(self))
+        for name in ("model", "num_states", "prior", "active", "min_forward_norm",
+                     "backward_vectors", "beliefs_made", "beliefs_reused"):
+            setattr(dup, name, getattr(self, name))
+        for name in ("times", "intervals", "segment_models", "forwards", "log_norms"):
+            setattr(dup, name, list(getattr(self, name)))
+        dup._memo, dup._backward_cache = {}, {}
         return dup
 
     # -- smoothing --------------------------------------------------------
@@ -228,8 +212,8 @@ class EveEstimator:
 
         K is the last request at or before ``horizon``, and element i of
         the list is b_{down_to+i}; the default returns b_0..b_K.  Vectors
-        are kept per K (``observe`` keeps those of the K it closes), and a
-        call computes only those below what earlier calls for the same K
+        are kept per K (``observe`` starts them over), and a call
+        computes only those below what earlier calls for the same K
         reached, so asking down to the requests inside a window costs
         those requests alone.
         """

@@ -183,7 +183,7 @@ def stationary_law(matrix: np.ndarray) -> np.ndarray:
 
 
 def shannon_entropy(belief: np.ndarray) -> float:
-    """Entropy in bits, with 0*log(0) = 0."""
+    """Entropy in bits, with 0*log(0) = 0; a point mass has entropy +0.0."""
     b = np.asarray(belief, dtype=float)
     nz = b[b > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(0.0 - (nz * np.log2(nz)).sum())

@@ -184,24 +184,28 @@ class CellSolution:
         r = self.regime(PolicyKind.PDE, fraction)
         return r.policy, r.policy, r
 
-    def regime(self, kind: PolicyKind, fraction: float = 0.5) -> SegmentModel:
-        """The listener's model of a kind's regime, holding its policy.
+    def policy(self, kind: PolicyKind, fraction: float = 0.5) -> policy.JointPolicy:
+        """A kind's policy.
 
         MPI is the goal-oriented policy, PP the periodic one and PDE the
         first packing step at or below fraction * H(sigma_goc).  ADE has no
         fixed schedule; it switches between the MPI and PP regimes, and is
-        given the MPI one.  Built once per (kind, PDE fraction): a repeated
-        call, or an ADE call, returns the same object.
+        given the MPI policy.
+        """
+        if kind is PolicyKind.PDE:
+            steps = self.pde_steps()
+            return next(jp for jp, h in steps if h <= fraction * steps[0][1])
+        return self.pp_policy if kind is PolicyKind.PP else self.goc
+
+    def regime(self, kind: PolicyKind, fraction: float = 0.5) -> SegmentModel:
+        """The listener's model of a kind's regime, holding ``policy(kind,
+        fraction)``.  Built once per (kind, PDE fraction), so a repeated
+        call returns the same object; ADE is given MPI's.
         """
         kind = PolicyKind.MPI if kind is PolicyKind.ADE else kind
         key = kind, round(float(fraction), 12) if kind is PolicyKind.PDE else None
         if key not in self._regimes:
-            if kind is PolicyKind.PDE:
-                steps = self.pde_steps()
-                jp = next(jp for jp, h in steps if h <= fraction * steps[0][1])
-            else:
-                jp = self.pp_policy if kind is PolicyKind.PP else self.goc
-            self._regimes[key] = SegmentModel(self.model, jp)
+            self._regimes[key] = SegmentModel(self.model, self.policy(kind, fraction))
         return self._regimes[key]
 
     def occupancy(self, kind: PolicyKind, fraction: float = 0.5) -> np.ndarray:
@@ -387,9 +391,7 @@ def sweep(base: EpisodeConfig, thetas, betas, d_gaps, kinds,
 def _kind_entropy(sol: CellSolution, kind: PolicyKind, cfg: EpisodeConfig) -> float:
     if kind is PolicyKind.ADE:
         return float("nan")  # ADE alternates; its schedule has no fixed entropy
-    if kind is PolicyKind.PP:
-        return 0.0
-    return policy.policy_entropy(sol.regime(kind, cfg.target_entropy_fraction).policy,
+    return policy.policy_entropy(sol.policy(kind, cfg.target_entropy_fraction),
                                  sol.model.num_states)
 
 

@@ -154,32 +154,32 @@ def monte_carlo_return(transitions: np.ndarray, reward_vec: np.ndarray | None,
     """Seeded rollout estimate of the uniform-start discounted return.
 
     ``control`` rows hold 1-indexed guesses when ``reward_vec`` is None,
-    action indices otherwise.  Returns (mean, standard error).
+    action indices otherwise.  All episodes step together: each step draws
+    one uniform per episode and takes the next state by inverse CDF.
+    Returns (mean, standard error).
     """
     rng = np.random.default_rng(seed)
     n = transitions.shape[1]
-    totals = np.zeros(n_episodes)
-    for ep in range(n_episodes):
-        s = int(rng.integers(n))
-        last, elapsed = s, 0
-        disc = 1.0
-        value = 0.0
-        for _ in range(horizon):
-            if elapsed == int(intervals[last]):
-                last, elapsed = s, 0
-                value -= disc * beta
-            if reward_vec is None:
-                guess = int(control[last, elapsed]) - 1
-                value += disc * (1.0 if guess == s else 0.0)
-                a = 0
-            else:
-                a = int(control[last, elapsed]) if control is not None else 0
-                value += disc * reward_vec[s]
-            s = int(rng.choice(n, p=transitions[a, s]))
-            elapsed += 1
-            disc *= gamma
-        totals[ep] = value
-    return float(totals.mean()), float(totals.std(ddof=1) / np.sqrt(n_episodes))
+    cdf = np.cumsum(transitions, axis=2)
+    s = rng.integers(n, size=n_episodes)
+    last, elapsed = s.copy(), np.zeros(n_episodes, dtype=np.int64)
+    disc = 1.0
+    value = np.zeros(n_episodes)
+    for _ in range(horizon):
+        renew = elapsed == intervals[last]
+        last[renew], elapsed[renew] = s[renew], 0
+        value -= disc * beta * renew
+        if reward_vec is None:
+            value += disc * (control[last, elapsed] - 1 == s)
+            a = np.zeros(n_episodes, dtype=np.int64)
+        else:
+            a = control[last, elapsed] if control is not None else np.zeros_like(s)
+            value += disc * reward_vec[s]
+        u = rng.random(n_episodes)
+        s = np.minimum((cdf[a, s] <= u[:, None]).sum(axis=1), n - 1)
+        elapsed += 1
+        disc *= gamma
+    return float(value.mean()), float(value.std(ddof=1) / np.sqrt(n_episodes))
 
 
 def renewal_occupancy(transitions: np.ndarray, intervals: np.ndarray,

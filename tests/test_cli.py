@@ -186,6 +186,22 @@ class TestSolve:
         doc = json.loads(path.read_text())
         assert sl.extract_sigma(jp).intervals.tolist() == doc["sigma"]
 
+    def test_builds_no_listener_model(self, tmp_path, monkeypatch):
+        """``solve`` serialises policies and runs no listener."""
+        built = []
+        init = sl.SegmentModel.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(sl.SegmentModel, "__init__", counted)
+        cfg = write_config(tmp_path, model={"scenario": "control", "num_states": 6},
+                           planner={"t_max": 4})
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out"),
+                         "--workers", "1"]) == 0
+        assert built == []
+
 
 class TestSimulate:
     def test_aggregate_shape(self, tmp_path):

@@ -54,7 +54,7 @@ class TestForecast:
         est = sl.EveEstimator(m, active=seg, prior=mu)
         for _ in range(15):
             est.observe(4)
-        fc = sl.forecast_leakage(est, 4, 5, seg)
+        fc = sl.forecast_leakage(est, 4, 5)
         assert fc - sl.min_leakage(m, mu=mu) < 0.02
 
     def test_distinguishing_schedule_forecasts_certainty(self):
@@ -62,7 +62,7 @@ class TestForecast:
         taus = np.array([1, 2, 3])
         seg = sl.SegmentModel(model, sl.SchedulingFunction(taus, 3))
         est = sl.EveEstimator(model, active=seg, prior=np.full(3, 1 / 3))
-        assert sl.forecast_leakage(est, 2, 0, seg) == pytest.approx(1.0, abs=1e-9)
+        assert sl.forecast_leakage(est, 2, 0) == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_in_gap(self, est_cell):
         seg = est_cell.regime(sl.PolicyKind.MPI)
@@ -70,15 +70,15 @@ class TestForecast:
                               prior=sl.steady_state(est_cell.model))
         est.observe(int(est_cell.sigma_goc.intervals[10]))
         tau = int(est_cell.sigma_goc.intervals[4])
-        assert sl.forecast_leakage(est, tau, 0, seg) <= \
-            sl.forecast_leakage(est, tau, 5, seg) + 1e-12
+        assert sl.forecast_leakage(est, tau, 0) <= \
+            sl.forecast_leakage(est, tau, 5) + 1e-12
 
     def test_probe_does_not_mutate(self, est_cell):
         est = sl.EveEstimator(est_cell.model, active=est_cell.regime(sl.PolicyKind.MPI),
                               prior=sl.steady_state(est_cell.model))
         est.observe(int(est_cell.sigma_goc.intervals[0]))
         before = len(est.intervals)
-        sl.forecast_leakage(est, 3, 5, est_cell.regime(sl.PolicyKind.MPI))
+        sl.forecast_leakage(est, 3, 5)
         assert len(est.intervals) == before
 
 
@@ -112,6 +112,18 @@ class TestAdeSchedule:
                               prior=mu)
         mode = sl.ade_schedule(5, ade, est, 5)
         assert mode is DefenseMode.PERIODIC
+
+    def test_listener_of_another_regime_rejected(self, est_cell):
+        """The forecast reads the listener's own regime, so it must be the
+        current mode's."""
+        ade = sl.AdeState(mode=DefenseMode.PERIODIC, l_low=0.4, l_high=0.6,
+                          goc_segment=est_cell.regime(sl.PolicyKind.MPI),
+                          pp_segment=est_cell.regime(sl.PolicyKind.PP))
+        est = sl.EveEstimator(est_cell.model, active=est_cell.regime(sl.PolicyKind.MPI),
+                              prior=sl.steady_state(est_cell.model))
+        with pytest.raises(ValueError, match="current mode"):
+            sl.ade_schedule(5, ade, est, 5)
+        assert ade.mode is DefenseMode.PERIODIC
 
 
 class TestPackPde:

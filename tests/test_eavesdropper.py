@@ -410,8 +410,9 @@ class TestMemo:
 
     @pytest.mark.parametrize("probe", ["other interval", "other regime"])
     def test_probe_leaves_parent_bit_identical(self, ctl_cell, probe):
-        """A clone shares the memo and backward tails of its original; what
-        it observes afterwards never changes the original's later windows."""
+        """A clone shares nothing with its original: what it observes
+        afterwards never changes the original's later windows, nor the work
+        they take."""
         gap, n_steps = 4, 90
         cfg = sl.EpisodeConfig(scenario=sl.Scenario.CONTROL, policy_kind=sl.PolicyKind.ADE,
                                d_gap=gap, n_steps=n_steps, seed=3)
@@ -456,10 +457,29 @@ class TestMemo:
             if n in requests:
                 probe_once(n)
         assert probes > len(requests) // 2
-        if probe == "other regime":    # nothing of the open segment is shared
-            assert probed.beliefs_made == plain.beliefs_made
-        else:                          # the probes made some of the original's points
-            assert probed.beliefs_made < plain.beliefs_made
+        assert probed.beliefs_made == plain.beliefs_made
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_clone_makes_nothing_for_its_original(self, trial):
+        """After a clone observes an interval and takes its leakages over
+        that segment, the original's next windows make as many beliefs and
+        backward vectors as those of a listener that was never cloned."""
+        rng = np.random.default_rng(4200 + trial)
+        est = next(alternating_instance(rng, control=trial % 2 == 1, n_requests=2))
+        plain = rebuilt(est)
+        dup = est.clone()
+        tau = int(est.active.policy.intervals[est.forwards[-1] > 0].max())
+        dup.observe(tau)
+        for h in range(dup.times[-2] + 1, dup.times[-1] + 1):
+            dup.leakage(h, 3)
+        assert tau > 1 and dup.intervals != est.intervals
+        counts = [(e.beliefs_made, e.backward_vectors) for e in (est, plain)]
+        for h in range(est.times[-1], est.times[-1] + est.active.t_max + 1):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(est.window(h, 3), plain.window(h, 3))), h
+        made = [(e.beliefs_made - b, e.backward_vectors - v)
+                for e, (b, v) in zip((est, plain), counts)]
+        assert made[0] == made[1] and made[0][0] > 0
 
 
 class TestMinLeakage:

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import re
 
 import numpy as np
@@ -80,6 +81,7 @@ class TestPolicyEntropy:
     def test_constant_is_zero(self):
         sigma = sl.SchedulingFunction(np.full(30, 4), t_max=10)
         assert sl.policy_entropy(sigma, 30) == 0.0
+        assert math.copysign(1.0, sl.policy_entropy(sigma, 30)) == 1.0   # not -0.0
 
     def test_two_equal_groups(self):
         sigma = sl.SchedulingFunction(np.array([2] * 15 + [3] * 15), t_max=10)

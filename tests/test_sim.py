@@ -166,7 +166,7 @@ class TestEpisode:
     def test_memoised_windows_equal_a_fresh_listener(self, scenario, kind, request,
                                                      monkeypatch):
         """Every step's window and leakage, read from a memo that ADE's
-        probes share, equal those of a listener rebuilt from the same
+        forecasts also fill, equal those of a listener rebuilt from the same
         intervals with no memo, exactly."""
         checked = []
 
@@ -187,7 +187,8 @@ class TestEpisode:
                               seed=31)
         rec, _ = sl.run_episode(cfg, sol)
         monkeypatch.undo()
-        assert checked == list(range(150))
+        # ADE's forecasts also take leakages, on the listener and its clones
+        assert set(range(150)) <= set(checked)
         assert np.array_equal(sl.run_episode(cfg, sol)[0].leakages, rec.leakages)
 
     @pytest.mark.parametrize("gap", [0, 3, 5])
