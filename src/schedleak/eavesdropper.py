@@ -59,7 +59,7 @@ class SegmentModel:
     segment).  Estimation dynamics share a single matrix, so prefix blocks
     are matrix powers and serve as suffixes too, and a bare
     ``SchedulingFunction`` will do; control suffixes are per-state
-    products of the plan's action matrices.
+    products of the plan's action matrices, one batched product per step.
     """
 
     def __init__(self, model: MarkovModel, policy: SchedulingFunction):
@@ -76,15 +76,11 @@ class SegmentModel:
         self._pre = segment_beliefs(model, control, t_max)
         if not self.homogeneous:
             n = model.num_states
-            suf = np.zeros((n, t_max + 1, n, n))
-            for s in range(n):
-                tau = int(taus[s])
-                acc = np.eye(n)
-                suf[s, tau] = acc
-                for t in range(tau - 1, -1, -1):
-                    acc = model.transitions[int(control[s, t])] @ acc
-                    suf[s, t] = acc
-            self._suf = suf
+            self._suf = suf = np.zeros((n, t_max + 1, n, n))
+            suf[np.arange(n), taus] = np.eye(n)
+            for t in range(t_max - 1, -1, -1):
+                rows = taus > t
+                suf[rows, t] = model.transitions[control[rows, t]] @ suf[rows, t + 1]
 
     def emission(self, tau: int) -> np.ndarray:
         """Indicator over renewal states that emit an interval of ``tau``."""
@@ -121,9 +117,9 @@ class EveEstimator:
     through K, so each (K, instant) belief is made once, with its
     certainty, and kept in a memo that later queries read; a query costs
     work proportional to the requests inside the part of its window not
-    made before, never to the length of the episode.  ``observe`` and a
-    change of regime in ``set_active`` start the memo over, since the open
-    segment's beliefs depend on both.  Memoised beliefs are read-only.
+    made before, never to the length of the episode.  ``observe`` starts
+    the memo over; the open segment's beliefs, from t_K on, depend on its
+    regime too, so they are kept per regime.  Memoised beliefs are read-only.
 
     ``clone`` is an independent copy with empty caches.
     ``backward_vectors`` counts the vectors made, ``beliefs_made`` the
@@ -151,16 +147,14 @@ class EveEstimator:
         self.beliefs_reused = 0
         # per last request index K: [b_K, b_{K-1}, ...] as far as computed
         self._backward_cache: dict[int, list[np.ndarray]] = {}
-        # per last request index K: {instant: (belief, certainty)}
-        self._memo: dict[int, dict[int, tuple[np.ndarray, float]]] = {}
+        # {instant: (belief, certainty)} per last request K, and per (K, regime) from t_K on
+        self._memo: dict[object, dict[int, tuple[np.ndarray, float]]] = {}
 
     # -- observation ------------------------------------------------------
 
     def set_active(self, segment_model: SegmentModel) -> None:
         """Declare the regime that schedules the currently open segment."""
-        if segment_model is not self.active:
-            self.active = segment_model
-            self._memo = {}
+        self.active = segment_model
 
     def observe(self, tau: int) -> "EveEstimator":
         """Consume the next interval; it closes the currently open segment."""
@@ -254,10 +248,13 @@ class EveEstimator:
             raise InconsistentTimingError(k + 1, tau)
         return raw / norm
 
+    def _open_regime(self, k: int) -> SegmentModel:
+        """Regime of the segment that request ``k`` opens."""
+        return self.segment_models[k] if k < len(self.segment_models) else self.active
+
     def _forward_only(self, k: int, ell: int) -> np.ndarray:
         """Belief inside the open segment: blind propagation, no future."""
-        seg = self.segment_models[k] if k < len(self.segment_models) else self.active
-        raw = self.forwards[k] @ seg.prefix_rows(ell)
+        raw = self.forwards[k] @ self._open_regime(k).prefix_rows(ell)
         return raw / raw.sum()
 
     def _beliefs(self, horizon: int, instants: list[int]):
@@ -289,17 +286,19 @@ class EveEstimator:
 
     def _points(self, horizon: int, top: int, bottom: int) -> list[tuple[np.ndarray, float]]:
         """(belief, certainty) at times top, top-1, ..., bottom, read from
-        the memo of the horizon's last request; missing ones are made in
-        one ``_beliefs`` pass and memoised."""
-        memo = self._memo.setdefault(self.last_index(horizon), {})
+        the memo of the horizon's last request K (and from t_K on, of K's
+        regime); missing ones are made in one ``_beliefs`` pass and memoised."""
+        k = self.last_index(horizon)
+        t_k, regime = self.times[k], self._open_regime(k)
+        opened, closed = self._memo.setdefault((k, regime), {}), self._memo.setdefault(k, {})
         instants = range(top, bottom - 1, -1)
-        missing = [m for m in instants if m not in memo]
+        missing = [m for m in instants if m not in (closed if m < t_k else opened)]
         for m, belief in zip(missing, self._beliefs(horizon, missing)):
             belief.flags.writeable = False
-            memo[m] = (belief, certainty(belief))
+            (closed if m < t_k else opened)[m] = (belief, certainty(belief))
             self.beliefs_made += 1
         self.beliefs_reused += len(instants) - len(missing)
-        return [memo[m] for m in instants]
+        return [(closed if m < t_k else opened)[m] for m in instants]
 
     def _window(self, horizon: int, gap: int) -> list[tuple[np.ndarray, float]]:
         if gap < 0:

@@ -226,6 +226,8 @@ def _improve_control(model, cfg, v0, allowed):
     actions) rule.  A node's value after one more action is read from the
     stop-value table ``q[:, a] = M_a @ (v0 - beta)`` of its parent's
     belief, so child beliefs are made only where the search goes deeper.
+    No node keeps its actions: node i of depth d + 1 takes ``i % na`` after
+    survivor ``kept[d][i // na]`` of depth d, and only a new best is rebuilt.
     Returns (taus, control, values, nodes expanded).
     """
     n, na = model.num_states, model.num_actions
@@ -247,7 +249,7 @@ def _improve_control(model, cfg, v0, allowed):
         margin = 1e-12 * max(1.0, abs(v0[s]))
         beliefs = delta_belief(s + 1, n)[None, :]
         acc = np.zeros(1)
-        paths = np.zeros((1, 0), dtype=np.int8)
+        kept = [[0]]                    # the root survives
         best_val = -np.inf
         for t in range(1, stops[-1] + 1):
             expanded += len(acc)
@@ -255,10 +257,6 @@ def _improve_control(model, cfg, v0, allowed):
             acc = np.repeat(acc + step, na)
             # row p*na + a is (parent p, action a): lexicographic order
             ends = (beliefs @ q).ravel()
-            paths = np.concatenate(
-                [np.repeat(paths, na, axis=0),
-                 np.tile(np.arange(na, dtype=np.int8), len(step))[:, None]],
-                axis=1)
             vals = acc + cfg.gamma ** t * ends
             if allowed[s, t]:
                 # first plan within the margin of the best: a plan's rounding
@@ -269,7 +267,9 @@ def _improve_control(model, cfg, v0, allowed):
                 if top > best_val + margin:
                     best_val = float(vals[i])
                     taus[s] = t
-                    control[s, :t] = paths[i]
+                    for d in range(t - 1, -1, -1):
+                        i, control[s, d] = divmod(i, na)
+                        i = kept[d][i]
             if t == stops[-1]:
                 break
             beliefs = (beliefs @ stacked).reshape(-1, n)
@@ -278,8 +278,9 @@ def _improve_control(model, cfg, v0, allowed):
             keep = bound >= max(best_val, v0[s]) - margin
             if not keep.any():
                 break
+            kept.append(np.flatnonzero(keep))
             if not keep.all():
-                beliefs, acc, paths = beliefs[keep], acc[keep], paths[keep]
+                beliefs, acc = beliefs[keep], acc[keep]
         best_vals[s] = best_val
     return taus, control, best_vals, expanded
 

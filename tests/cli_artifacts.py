@@ -12,7 +12,11 @@ artifact, sorted by name, 31 in all; ``manifest.json`` files are left out,
 since they hold the output paths.  One more line, ``library/episodes``,
 hashes the records of seeded ``run_episode`` calls: every policy kind at
 gaps 0, 3 and 5, 2 episodes of 300 steps, seed 7, in the estimation cells
-(32, 1) and (8, 0.5) and the control cell (32, 1).  Run it on two trees
+(32, 1) and (8, 0.5) and the control cell (32, 1).  A last line,
+``library/planner``, hashes the planner's output on the control cells
+theta {0.5, 2, 8, 32} x beta {0.2, 1, 3}: the ``policy_to_json`` of
+``solve_goc``, of ``solve_periodic`` and of every ``pde_packing_steps``
+step from the goal-oriented schedule and table.  Run it on two trees
 into two fresh directories and ``diff`` the printed lines: a change that
 should leave results alone must print the same lines.  The hashes depend
 on the machine's floating point, so they are compared between trees on
@@ -32,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from schedleak import cli, simulate  # noqa: E402
+from schedleak import cli, defenses, markov, policy, simulate  # noqa: E402
 from schedleak.markov import Scenario  # noqa: E402
 
 CONFIGS = {
@@ -44,6 +48,7 @@ CONFIGS = {
 SIMULATION = {"n_steps": 100, "n_episodes": 3, "d_gap": [3, 5], "trace": True, "seed": 7}
 EPISODE_CELLS = [(Scenario.ESTIMATION, 32.0, 1.0), (Scenario.ESTIMATION, 8.0, 0.5),
                  (Scenario.CONTROL, 32.0, 1.0)]
+PLANNER_CELLS = [(theta, beta) for theta in (0.5, 2.0, 8.0, 32.0) for beta in (0.2, 1.0, 3.0)]
 
 
 def artifacts(out: Path) -> dict[str, str]:
@@ -84,6 +89,21 @@ def episodes_digest() -> str:
     return digest.hexdigest()
 
 
+def planner_digest() -> str:
+    """sha256 over the goal-oriented, periodic and packing policies of the
+    control planner cells."""
+    digest = hashlib.sha256()
+    for theta, beta in PLANNER_CELLS:
+        model = markov.build_model(theta, 30, Scenario.CONTROL)
+        planner = policy.PlannerConfig(beta=beta)
+        goc = policy.solve_goc(model, planner)
+        steps = defenses.pde_packing_steps(policy.extract_sigma(goc), model, planner,
+                                           0.0, goc.control)
+        for jp in [goc, policy.solve_periodic(model, planner)] + [jp for jp, _ in steps]:
+            digest.update(policy.policy_to_json(jp).encode())
+    return digest.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tests/cli_artifacts.py OUT", file=sys.stderr)
@@ -93,6 +113,7 @@ def main(argv: list[str]) -> int:
     for name, digest in sorted(artifacts(out).items()):
         print(name, digest)
     print("library/episodes", episodes_digest())
+    print("library/planner", planner_digest())
     return 0
 
 

@@ -408,6 +408,32 @@ class TestMemo:
         est.leakage(h + t_max, 3)
         assert est.beliefs_made - before == 5
 
+    @pytest.mark.parametrize("trial", range(6))
+    def test_regime_switch_keeps_closed_points(self, trial):
+        """A switch of regime remakes only the open segment's points: the
+        points before the last request stay in the memo, and switching
+        back makes nothing."""
+        rng = np.random.default_rng(4100 + trial)
+        for est in alternating_instance(rng, control=trial % 2 == 1, n_requests=3):
+            pass
+        h = est.times[-1] + 1
+        est.window(h, h)
+        first = est.active
+        taus = rng.integers(1, first.t_max + 1, size=est.num_states)
+        plan = rng.integers(0, est.model.num_actions, size=(est.num_states, first.t_max))
+        other = sl.SegmentModel(est.model, sl.JointPolicy(taus, first.t_max, plan))
+        before = est.beliefs_made
+        est.set_active(other)
+        for d in range(2, h + 1):
+            est.belief_at_time(h, d)
+        assert est.beliefs_made == before
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(est.window(h, h), rebuilt(est).window(h, h)))
+        assert est.beliefs_made - before == 2
+        est.set_active(first)
+        est.window(h, h)
+        assert est.beliefs_made - before == 2
+
     @pytest.mark.parametrize("probe", ["other interval", "other regime"])
     def test_probe_leaves_parent_bit_identical(self, ctl_cell, probe):
         """A clone shares nothing with its original: what it observes

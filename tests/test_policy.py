@@ -242,6 +242,30 @@ class TestSolvePeriodic:
         assert vals[period] == pytest.approx(max(vals.values()), abs=1e-9)
 
 
+class TestImproveControl:
+    @pytest.mark.parametrize("trial", range(4))
+    def test_rebuilt_plans_score_their_values(self, trial):
+        """The search prunes prefixes and rebuilds only the chosen plans
+        from the surviving indices; each returned (tau, actions) row,
+        scored on its own against v0, gives the value reported for it."""
+        rng = np.random.default_rng(trial)
+        n, na, t_max = 6, 3, 6
+        model = control_model(random_stochastic(rng, na, n), rng.random(n) * 5)
+        cfg = sl.PlannerConfig(gamma=0.9, beta=0.5, t_max=t_max)
+        start = sl.JointPolicy(np.ones(n, dtype=np.int64), t_max,
+                               np.zeros((n, t_max), dtype=np.int64))
+        v0 = sl.evaluate_policy_values(model, start, cfg)
+        allowed = np.tile(np.arange(t_max + 1) > 0, (n, 1))
+        taus, control, best_vals, nodes = policy._improve_control(model, cfg, v0, allowed)
+        assert nodes < n * sum(na ** t for t in range(t_max))
+        assert taus.min() > 2
+        assert (control[np.arange(t_max) >= taus[:, None]] == 0).all()
+        c, k = policy.segment_stats(model, cfg, policy.segment_beliefs(model, control, t_max),
+                                    control)
+        rows = np.arange(n)
+        assert np.allclose(c[rows, taus] + k[rows, taus] @ v0, best_vals, rtol=1e-12, atol=0)
+
+
 class TestBestControlForSigma:
     @pytest.mark.parametrize("trial", range(6))
     def test_matches_brute_force(self, trial):
