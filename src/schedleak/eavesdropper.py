@@ -118,7 +118,7 @@ class EveEstimator:
     certainty, and kept in a memo that later queries read; a query costs
     work proportional to the requests inside the part of its window not
     made before, never to the length of the episode.  ``observe`` starts
-    the memo over; the open segment's beliefs, from t_K on, depend on its
+    the memo over; the open segment's beliefs, after t_K, depend on its
     regime too, so they are kept per regime.  Memoised beliefs are read-only.
 
     ``clone`` is an independent copy with empty caches.
@@ -147,7 +147,7 @@ class EveEstimator:
         self.beliefs_reused = 0
         # per last request index K: [b_K, b_{K-1}, ...] as far as computed
         self._backward_cache: dict[int, list[np.ndarray]] = {}
-        # {instant: (belief, certainty)} per last request K, and per (K, regime) from t_K on
+        # {instant: (belief, certainty)} per last request K, and per (K, regime) after t_K
         self._memo: dict[object, dict[int, tuple[np.ndarray, float]]] = {}
 
     # -- observation ------------------------------------------------------
@@ -286,19 +286,20 @@ class EveEstimator:
 
     def _points(self, horizon: int, top: int, bottom: int) -> list[tuple[np.ndarray, float]]:
         """(belief, certainty) at times top, top-1, ..., bottom, read from
-        the memo of the horizon's last request K (and from t_K on, of K's
+        the memo of the horizon's last request K (and after t_K, of K's
+        regime: at t_K itself the belief is the forward vector in every
         regime); missing ones are made in one ``_beliefs`` pass and memoised."""
         k = self.last_index(horizon)
         t_k, regime = self.times[k], self._open_regime(k)
         opened, closed = self._memo.setdefault((k, regime), {}), self._memo.setdefault(k, {})
         instants = range(top, bottom - 1, -1)
-        missing = [m for m in instants if m not in (closed if m < t_k else opened)]
+        missing = [m for m in instants if m not in (closed if m <= t_k else opened)]
         for m, belief in zip(missing, self._beliefs(horizon, missing)):
             belief.flags.writeable = False
-            (closed if m < t_k else opened)[m] = (belief, certainty(belief))
+            (closed if m <= t_k else opened)[m] = (belief, certainty(belief))
             self.beliefs_made += 1
         self.beliefs_reused += len(instants) - len(missing)
-        return [(closed if m < t_k else opened)[m] for m in instants]
+        return [(closed if m <= t_k else opened)[m] for m in instants]
 
     def _window(self, horizon: int, gap: int) -> list[tuple[np.ndarray, float]]:
         if gap < 0:

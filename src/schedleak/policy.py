@@ -36,8 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .markov import (MarkovModel, NumericalError, delta_belief,
-                     shannon_entropy, stationary_law)
+from .markov import MarkovModel, NumericalError, shannon_entropy, stationary_law
 
 log = logging.getLogger("schedleak")
 
@@ -211,78 +210,120 @@ def _values(c, k, taus) -> np.ndarray:
     return np.linalg.solve(np.eye(len(taus)) - k[idx, taus], c[idx, taus])
 
 
+def _greedy_stops(model, cfg, q, w, stacked, allowed, last):
+    """Per state, the best permitted stop value along one greedy plan.
+
+    All states dive at once, one node each: every step takes the action
+    whose child has the best full-information bound over the stops still
+    permitted.  The plan is a real one, so the value is a lower bound on
+    the state's best plan, up to rounding.
+    """
+    n, na, t_max = model.num_states, model.num_actions, cfg.t_max
+    rows = np.arange(n)
+    beliefs = np.eye(n)
+    acc = np.zeros(n)
+    inc = np.full(n, -np.inf)
+    for t in range(1, last.max() + 1):
+        acc = acc + cfg.gamma ** (t - 1) * (beliefs @ model.task_reward)
+        if allowed[:, t].any():
+            ends = acc + cfg.gamma ** t * (beliefs @ q).max(axis=1)
+            inc = np.where(allowed[:, t], np.maximum(inc, ends), inc)
+        if t == last.max():
+            break
+        kids = (beliefs @ stacked).reshape(n, na, n)
+        ahead = np.max(kids @ w[:, 1:t_max - t + 1], axis=2,
+                       where=allowed[:, None, t + 1:], initial=-np.inf)
+        beliefs = kids[rows, np.argmax(ahead, axis=1)]
+    return inc
+
+
 def _improve_control(model, cfg, v0, allowed):
-    """Exact plan search per state: branch and bound over action prefixes.
+    """Exact plan search: branch and bound over action prefixes, all
+    states in one frontier per depth.
 
     A prefix is bounded by the full-information values ``W[:, j]`` of j
-    more steps and then a stop, which no open-loop plan can beat.  It is
-    expanded only while that bound reaches both the best plan found so
-    far and the state's current value, less a rounding margin, so a sweep
-    that finds no strict improvement certifies optimality against v0.
+    more steps and then a permitted stop, which no open-loop plan can
+    beat.  It is expanded only while that bound reaches its state's best
+    plan found so far, its current value, and its incumbent less one
+    margin, all less a rounding margin, so a sweep that finds no strict
+    improvement certifies optimality against v0.  The incumbent is the
+    best stop value on one greedy plan per state (``_greedy_stops``); it
+    is never a result, and it prunes only subtrees a full tie window
+    below any plan the tie rule could keep.
 
-    Nodes at each depth are enumerated with earlier actions varying last
-    (parent-major), so taking the first maximum, up to the margin, while
-    scanning depths in ascending order realizes the (smaller tau, smaller
-    actions) rule.  A node's value after one more action is read from the
-    stop-value table ``q[:, a] = M_a @ (v0 - beta)`` of its parent's
-    belief, so child beliefs are made only where the search goes deeper.
-    No node keeps its actions: node i of depth d + 1 takes ``i % na`` after
-    survivor ``kept[d][i // na]`` of depth d, and only a new best is rebuilt.
-    Returns (taus, control, values, nodes expanded).
+    Each depth holds the nodes of every state, state-major and, within a
+    state, enumerated with earlier actions varying last (parent-major),
+    so taking each state's first maximum, up to the margin, while
+    scanning depths in ascending order realizes the (smaller tau,
+    smaller actions) rule.  A node's value after one more action is read
+    from the stop-value table ``q[:, a] = M_a @ (v0 - beta)`` of its
+    parent's belief, so child beliefs are made only where the search
+    goes deeper.  No node keeps its actions: node i of depth d + 1 takes
+    ``i % na`` after survivor ``kept[d][i // na]`` of depth d, and only a
+    new best is rebuilt.
+    Returns (taus, control, values, nodes expanded, most nodes expanded
+    at one depth).
     """
-    n, na = model.num_states, model.num_actions
+    n, na, t_max = model.num_states, model.num_actions, cfg.t_max
     r = model.task_reward
     stop_vec = -cfg.beta + v0
     q = (model.transitions @ stop_vec).T
     # beliefs are row vectors: children of row z are [z @ M_a for each a]
     stacked = np.concatenate(list(model.transitions), axis=1)
-    w = np.empty((n, cfg.t_max + 1))
+    w = np.empty((n, t_max + 1))
     w[:, 0] = stop_vec
-    for j in range(1, cfg.t_max + 1):
+    for j in range(1, t_max + 1):
         w[:, j] = r + cfg.gamma * (model.transitions @ w[:, j - 1]).max(axis=0)
+    last = t_max - np.argmax(allowed[:, ::-1], axis=1)
+    margin = 1e-12 * np.maximum(1.0, np.abs(v0))
+    floor = np.maximum(v0, _greedy_stops(model, cfg, q, w, stacked, allowed, last) - margin)
     taus = np.ones(n, dtype=np.int64)
-    control = np.zeros((n, cfg.t_max), dtype=np.int64)
-    best_vals = np.empty(n)
-    expanded = 0
-    for s in range(n):
-        stops = np.flatnonzero(allowed[s])
-        margin = 1e-12 * max(1.0, abs(v0[s]))
-        beliefs = delta_belief(s + 1, n)[None, :]
-        acc = np.zeros(1)
-        kept = [[0]]                    # the root survives
-        best_val = -np.inf
-        for t in range(1, stops[-1] + 1):
-            expanded += len(acc)
-            step = cfg.gamma ** (t - 1) * (beliefs @ r)
-            acc = np.repeat(acc + step, na)
-            # row p*na + a is (parent p, action a): lexicographic order
-            ends = (beliefs @ q).ravel()
-            vals = acc + cfg.gamma ** t * ends
-            if allowed[s, t]:
-                # first plan within the margin of the best: a plan's rounding
-                # depends on its row in the batched product, so exact ties
-                # can differ by an ulp
-                top = vals.max()
-                i = int(np.argmax(vals >= top - margin))
-                if top > best_val + margin:
-                    best_val = float(vals[i])
-                    taus[s] = t
-                    for d in range(t - 1, -1, -1):
-                        i, control[s, d] = divmod(i, na)
-                        i = kept[d][i]
-            if t == stops[-1]:
-                break
-            beliefs = (beliefs @ stacked).reshape(-1, n)
-            ahead = stops[stops > t] - t
-            bound = acc + cfg.gamma ** t * (beliefs @ w[:, ahead]).max(axis=1)
-            keep = bound >= max(best_val, v0[s]) - margin
-            if not keep.any():
-                break
-            kept.append(np.flatnonzero(keep))
-            if not keep.all():
-                beliefs, acc = beliefs[keep], acc[keep]
-        best_vals[s] = best_val
-    return taus, control, best_vals, expanded
+    control = np.zeros((n, t_max), dtype=np.int64)
+    best_vals = np.full(n, -np.inf)
+    own = np.arange(n)                  # the state of each node
+    beliefs = np.eye(n)
+    acc = np.zeros(n)
+    kept = [own]                        # the roots survive
+    expanded = widest = 0
+    for t in range(1, last.max() + 1):
+        expanded += len(acc)
+        widest = max(widest, len(acc))
+        step = cfg.gamma ** (t - 1) * (beliefs @ r)
+        acc = np.repeat(acc + step, na)
+        own = np.repeat(own, na)
+        # row p*na + a is (parent p, action a): lexicographic order
+        vals = acc + cfg.gamma ** t * (beliefs @ q).ravel()
+        if allowed[:, t].any():
+            # each state's first plan within the margin of its best: a
+            # plan's rounding depends on its row in the batched product,
+            # so exact ties can differ by an ulp
+            states = np.flatnonzero(np.bincount(own, minlength=n))
+            starts = np.searchsorted(own, states)
+            top = np.maximum.reduceat(vals, starts)
+            lim = np.empty(n)
+            lim[states] = top - margin[states]
+            near = np.flatnonzero(vals >= lim[own])
+            i = near[np.searchsorted(own[near], states)]
+            new = allowed[states, t] & (top > best_vals[states] + margin[states])
+            states, i = states[new], i[new]
+            best_vals[states] = vals[i]
+            taus[states] = t
+            for d in range(t - 1, -1, -1):
+                i, control[states, d] = np.divmod(i, na)
+                i = kept[d][i]
+        if t == last.max():
+            break
+        beliefs = (beliefs @ stacked).reshape(-1, n)
+        ahead = np.max(beliefs @ w[:, 1:t_max - t + 1], axis=1,
+                       where=allowed[own, t + 1:], initial=-np.inf)
+        bound = acc + cfg.gamma ** t * ahead
+        keep = bound >= (np.maximum(best_vals, floor) - margin)[own]
+        if not keep.any():
+            break
+        kept.append(np.flatnonzero(keep))
+        if not keep.all():
+            beliefs, acc, own = beliefs[keep], acc[keep], own[keep]
+    return taus, control, best_vals, expanded, widest
 
 
 def _policy_iteration(model, cfg, allowed, init_control=None):
@@ -309,19 +350,21 @@ def _policy_iteration(model, cfg, allowed, init_control=None):
                    else np.zeros((n, cfg.t_max), dtype=np.int64))
         c, k = _plan_stats(model, cfg, control)
     v0 = _values(c, k, taus)
-    expanded = 0
+    expanded = widest = 0
     for sweep in range(1, _MAX_SWEEPS + 1):
         if model.num_actions == 1:
             vals = np.where(allowed, c + k @ v0, -np.inf)
             cand_taus = np.argmax(vals, axis=1)
             best = vals[np.arange(n), cand_taus]
         else:
-            cand_taus, cand_control, best, nodes = _improve_control(model, cfg, v0, allowed)
+            cand_taus, cand_control, best, nodes, width = _improve_control(
+                model, cfg, v0, allowed)
             expanded += nodes
+            widest = max(widest, width)
         accept = best > v0 + _IMPROVEMENT_MARGIN
         if not accept.any():
-            log.debug("policy iteration: %d sweeps, %d plan nodes expanded",
-                      sweep, expanded)
+            log.debug("policy iteration: %d sweeps, %d plan nodes expanded, "
+                      "at most %d at one depth", sweep, expanded, widest)
             return taus, control, v0
         taus = np.where(accept, cand_taus, taus)
         if model.num_actions > 1:

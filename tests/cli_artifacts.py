@@ -16,7 +16,10 @@ gaps 0, 3 and 5, 2 episodes of 300 steps, seed 7, in the estimation cells
 ``library/planner``, hashes the planner's output on the control cells
 theta {0.5, 2, 8, 32} x beta {0.2, 1, 3}: the ``policy_to_json`` of
 ``solve_goc``, of ``solve_periodic`` and of every ``pde_packing_steps``
-step from the goal-oriented schedule and table.  Run it on two trees
+step from the goal-oriented schedule and table.  The line after it,
+``library/planner-deep``, hashes the ``policy_to_json`` of ``solve_goc``
+and ``solve_periodic`` at ``t_max`` 12 on the control cells (32, 1) and
+(8, 3), where the plan trees are nine times larger.  Run it on two trees
 into two fresh directories and ``diff`` the printed lines: a change that
 should leave results alone must print the same lines.  The hashes depend
 on the machine's floating point, so they are compared between trees on
@@ -49,6 +52,7 @@ SIMULATION = {"n_steps": 100, "n_episodes": 3, "d_gap": [3, 5], "trace": True, "
 EPISODE_CELLS = [(Scenario.ESTIMATION, 32.0, 1.0), (Scenario.ESTIMATION, 8.0, 0.5),
                  (Scenario.CONTROL, 32.0, 1.0)]
 PLANNER_CELLS = [(theta, beta) for theta in (0.5, 2.0, 8.0, 32.0) for beta in (0.2, 1.0, 3.0)]
+DEEP_CELLS = [(32.0, 1.0), (8.0, 3.0)]
 
 
 def artifacts(out: Path) -> dict[str, str]:
@@ -104,6 +108,17 @@ def planner_digest() -> str:
     return digest.hexdigest()
 
 
+def deep_planner_digest() -> str:
+    """sha256 over the goal-oriented and periodic policies at t_max 12."""
+    digest = hashlib.sha256()
+    for theta, beta in DEEP_CELLS:
+        model = markov.build_model(theta, 30, Scenario.CONTROL)
+        planner = policy.PlannerConfig(beta=beta, t_max=12)
+        for jp in (policy.solve_goc(model, planner), policy.solve_periodic(model, planner)):
+            digest.update(policy.policy_to_json(jp).encode())
+    return digest.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tests/cli_artifacts.py OUT", file=sys.stderr)
@@ -114,6 +129,7 @@ def main(argv: list[str]) -> int:
         print(name, digest)
     print("library/episodes", episodes_digest())
     print("library/planner", planner_digest())
+    print("library/planner-deep", deep_planner_digest())
     return 0
 
 

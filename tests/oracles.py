@@ -8,9 +8,12 @@ evaluates each by linear solve; the return oracle is a seeded Monte-Carlo
 rollout; the occupancy oracle solves for the stationary law of the
 explicit (last reported state, elapsed time, true state) chain; the
 propagation oracle pushes a belief forward one step at a time under an
-open-loop control plan.  The packing reference is the exception: it scans
-candidates one at a time on the package's own segment tables and
-planner, and pins down the batched scan of ``pde_packing_steps``.
+open-loop control plan.  Two references are the exception.  The packing
+reference scans candidates one at a time on the package's own segment
+tables and planner, and pins down the batched scan of
+``pde_packing_steps``.  The plan-search reference is the package's
+earlier branch and bound, one state at a time with no incumbent, and
+pins down the one-frontier search of ``policy._improve_control``.
 """
 
 from __future__ import annotations
@@ -320,3 +323,79 @@ def reference_packing_steps(sigma0, model, planner, target_entropy: float = 0.0)
         _, current, h = best
         steps.append((current, h))
     return steps, tables
+
+
+def reference_improve_control(model, cfg, v0, allowed):
+    """Exact plan search per state: branch and bound over action prefixes.
+
+    A prefix is bounded by the full-information values ``W[:, j]`` of j
+    more steps and then a stop, which no open-loop plan can beat.  It is
+    expanded only while that bound reaches both the best plan found so
+    far and the state's current value, less a rounding margin, so a sweep
+    that finds no strict improvement certifies optimality against v0.
+
+    Nodes at each depth are enumerated with earlier actions varying last
+    (parent-major), so taking the first maximum, up to the margin, while
+    scanning depths in ascending order realizes the (smaller tau, smaller
+    actions) rule.  A node's value after one more action is read from the
+    stop-value table ``q[:, a] = M_a @ (v0 - beta)`` of its parent's
+    belief, so child beliefs are made only where the search goes deeper.
+    No node keeps its actions: node i of depth d + 1 takes ``i % na`` after
+    survivor ``kept[d][i // na]`` of depth d, and only a new best is rebuilt.
+    Returns (taus, control, values, nodes expanded).
+    """
+    from schedleak.markov import delta_belief
+
+    n, na = model.num_states, model.num_actions
+    r = model.task_reward
+    stop_vec = -cfg.beta + v0
+    q = (model.transitions @ stop_vec).T
+    # beliefs are row vectors: children of row z are [z @ M_a for each a]
+    stacked = np.concatenate(list(model.transitions), axis=1)
+    w = np.empty((n, cfg.t_max + 1))
+    w[:, 0] = stop_vec
+    for j in range(1, cfg.t_max + 1):
+        w[:, j] = r + cfg.gamma * (model.transitions @ w[:, j - 1]).max(axis=0)
+    taus = np.ones(n, dtype=np.int64)
+    control = np.zeros((n, cfg.t_max), dtype=np.int64)
+    best_vals = np.empty(n)
+    expanded = 0
+    for s in range(n):
+        stops = np.flatnonzero(allowed[s])
+        margin = 1e-12 * max(1.0, abs(v0[s]))
+        beliefs = delta_belief(s + 1, n)[None, :]
+        acc = np.zeros(1)
+        kept = [[0]]                    # the root survives
+        best_val = -np.inf
+        for t in range(1, stops[-1] + 1):
+            expanded += len(acc)
+            step = cfg.gamma ** (t - 1) * (beliefs @ r)
+            acc = np.repeat(acc + step, na)
+            # row p*na + a is (parent p, action a): lexicographic order
+            ends = (beliefs @ q).ravel()
+            vals = acc + cfg.gamma ** t * ends
+            if allowed[s, t]:
+                # first plan within the margin of the best: a plan's rounding
+                # depends on its row in the batched product, so exact ties
+                # can differ by an ulp
+                top = vals.max()
+                i = int(np.argmax(vals >= top - margin))
+                if top > best_val + margin:
+                    best_val = float(vals[i])
+                    taus[s] = t
+                    for d in range(t - 1, -1, -1):
+                        i, control[s, d] = divmod(i, na)
+                        i = kept[d][i]
+            if t == stops[-1]:
+                break
+            beliefs = (beliefs @ stacked).reshape(-1, n)
+            ahead = stops[stops > t] - t
+            bound = acc + cfg.gamma ** t * (beliefs @ w[:, ahead]).max(axis=1)
+            keep = bound >= max(best_val, v0[s]) - margin
+            if not keep.any():
+                break
+            kept.append(np.flatnonzero(keep))
+            if not keep.all():
+                beliefs, acc = beliefs[keep], acc[keep]
+        best_vals[s] = best_val
+    return taus, control, best_vals, expanded

@@ -389,7 +389,8 @@ class TestMemo:
     @pytest.mark.parametrize("trial", range(6))
     def test_each_point_made_once_per_last_request(self, trial):
         """Overlapping windows of one K make each instant once; a new
-        request or a new regime makes the open segment's points again."""
+        request, or a new regime, makes the open segment's points after t_K
+        again."""
         rng = np.random.default_rng(4000 + trial)
         est = next(alternating_instance(rng, control=trial % 2 == 1, n_requests=1))
         h, t_max = est.times[-1], est.active.t_max
@@ -404,15 +405,16 @@ class TestMemo:
         est.leakage(h + t_max, 3)
         assert est.beliefs_made - before == 1
         other = sl.SegmentModel(est.model, est.active.policy)
-        est.set_active(other)                  # another regime starts over
+        est.set_active(other)                  # another regime starts over after t_K
         est.leakage(h + t_max, 3)
-        assert est.beliefs_made - before == 5
+        assert est.beliefs_made - before == 1 + sum(m > h for m in range(h + t_max - 3,
+                                                                         h + t_max + 1))
 
     @pytest.mark.parametrize("trial", range(6))
     def test_regime_switch_keeps_closed_points(self, trial):
-        """A switch of regime remakes only the open segment's points: the
-        points before the last request stay in the memo, and switching
-        back makes nothing."""
+        """A switch of regime remakes only the open segment's points after
+        the last request: the points up to the request stay in the memo,
+        and switching back makes nothing."""
         rng = np.random.default_rng(4100 + trial)
         for est in alternating_instance(rng, control=trial % 2 == 1, n_requests=3):
             pass
@@ -424,15 +426,16 @@ class TestMemo:
         other = sl.SegmentModel(est.model, sl.JointPolicy(taus, first.t_max, plan))
         before = est.beliefs_made
         est.set_active(other)
-        for d in range(2, h + 1):
+        t_k = est.times[-1]
+        for d in range(h - t_k, h + 1):
             est.belief_at_time(h, d)
         assert est.beliefs_made == before
         assert all(np.array_equal(a, b)
                    for a, b in zip(est.window(h, h), rebuilt(est).window(h, h)))
-        assert est.beliefs_made - before == 2
+        assert est.beliefs_made - before == h - t_k
         est.set_active(first)
         est.window(h, h)
-        assert est.beliefs_made - before == 2
+        assert est.beliefs_made - before == h - t_k
 
     @pytest.mark.parametrize("probe", ["other interval", "other regime"])
     def test_probe_leaves_parent_bit_identical(self, ctl_cell, probe):

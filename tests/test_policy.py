@@ -10,7 +10,7 @@ import schedleak as sl
 from schedleak import policy
 from oracles import (ControlPlan, brute_force_best, brute_force_for_schedule,
                      evaluate_joint, monte_carlo_return, propagate_belief,
-                     random_stochastic, renewal_occupancy)
+                     random_stochastic, reference_improve_control, renewal_occupancy)
 from test_markov import estimation_model, ring_matrix
 
 
@@ -256,7 +256,7 @@ class TestImproveControl:
                                np.zeros((n, t_max), dtype=np.int64))
         v0 = sl.evaluate_policy_values(model, start, cfg)
         allowed = np.tile(np.arange(t_max + 1) > 0, (n, 1))
-        taus, control, best_vals, nodes = policy._improve_control(model, cfg, v0, allowed)
+        taus, control, best_vals, nodes, _ = policy._improve_control(model, cfg, v0, allowed)
         assert nodes < n * sum(na ** t for t in range(t_max))
         assert taus.min() > 2
         assert (control[np.arange(t_max) >= taus[:, None]] == 0).all()
@@ -264,6 +264,62 @@ class TestImproveControl:
                                     control)
         rows = np.arange(n)
         assert np.allclose(c[rows, taus] + k[rows, taus] @ v0, best_vals, rtol=1e-12, atol=0)
+
+    @staticmethod
+    def masks(rng, n, t_max):
+        """Permitted stops: all; one per state; several per state; and
+        several, but only stop 1 for state 0."""
+        every = np.tile(np.arange(t_max + 1) > 0, (n, 1))
+        one = np.arange(t_max + 1) == rng.integers(1, t_max + 1, n)[:, None]
+        several = one | (rng.random((n, t_max + 1)) < 0.4)
+        several[:, 0] = False
+        first_only = several.copy()
+        first_only[0] = np.arange(t_max + 1) == 1
+        return [every, one, several, first_only]
+
+    @pytest.mark.parametrize("case", ["random", "duplicate", "identical", "sparse"])
+    def test_frontier_matches_per_state_search(self, case):
+        """One frontier across states, pruned also by the greedy incumbent,
+        returns the plans of the per-state search without an incumbent,
+        both from a random plan's values and from the values of the plans
+        that search returns."""
+        for seed in range(40):
+            if case == "random":
+                rng = np.random.default_rng(seed)
+                n, t_max = int(rng.integers(3, 9)), int(rng.integers(1, 7))
+                model = control_model(random_stochastic(rng, int(rng.integers(2, 4)), n),
+                                      rng.random(n) * 5)
+                cfg = sl.PlannerConfig(gamma=float(rng.uniform(0.6, 0.97)),
+                                       beta=float(rng.uniform(0.05, 1.5)), t_max=t_max)
+            else:
+                model, cfg, rng = tie_rich_model(case, seed)
+                n, t_max = model.num_states, cfg.t_max
+            for allowed in self.masks(rng, n, t_max):
+                start = sl.JointPolicy(np.argmax(allowed, axis=1), t_max,
+                                       rng.integers(0, model.num_actions, (n, t_max)))
+                v0 = sl.evaluate_policy_values(model, start, cfg)
+                for _ in range(2):
+                    want = reference_improve_control(model, cfg, v0, allowed)
+                    got = policy._improve_control(model, cfg, v0, allowed)
+                    assert np.array_equal(got[0], want[0]), (seed, allowed)
+                    assert np.array_equal(got[1], want[1]), (seed, allowed)
+                    np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=0)
+                    assert got[3] <= want[3]
+                    v0 = sl.evaluate_policy_values(
+                        model, sl.JointPolicy(want[0], t_max, want[1]), cfg)
+
+    def test_cold_sweep_width_bounded_by_incumbent(self, caplog):
+        """The cold sweeps of the goal-oriented solve at control (32, 1)
+        hold few nodes at any one depth: the incumbent prunes what the
+        all-zero plans' values would let through (52,031 nodes at one
+        depth without it)."""
+        model = sl.build_model(32.0, 30, sl.Scenario.CONTROL)
+        caplog.set_level(logging.DEBUG, logger="schedleak")
+        sl.solve_goc(model, sl.PlannerConfig(beta=1.0, t_max=10))
+        lines = [r.getMessage() for r in caplog.records if r.name == "schedleak"]
+        widest = int(re.fullmatch(r"policy iteration: \d+ sweeps, \d+ plan nodes expanded, "
+                                  r"at most (\d+) at one depth", lines[0]).group(1))
+        assert 0 < widest < 10_000
 
 
 class TestBestControlForSigma:
@@ -312,8 +368,8 @@ class TestBestControlForSigma:
         lines = [r.getMessage() for r in caplog.records if r.name == "schedleak"]
         assert len(lines) == 1
         sweeps, nodes = map(int, re.fullmatch(
-            r"policy iteration: (\d+) sweeps, (\d+) plan nodes expanded",
-            lines[0]).groups())
+            r"policy iteration: (\d+) sweeps, (\d+) plan nodes expanded, "
+            r"at most \d+ at one depth", lines[0]).groups())
         assert nodes < 0.1 * sweeps * n * sum(3 ** t for t in range(t_max))
         sigma = sl.SchedulingFunction(np.arange(n) % t_max + 1, t_max=t_max)
         assert not (sl.best_control_for_sigma(model, sigma, cfg).control == 2).any()
